@@ -14,8 +14,10 @@ neighbor without bound, impossible because the total chip count is conserved
 by firing.  So an endless game marks every vertex as fired after finitely
 many steps, and the simulation always terminates.  No step cap is imposed.
 
-Recurrence is decided greedily: fire any active not-yet-fired vertex (lowest
-index, for reproducible witnesses) until all have fired or none can.  The
+Recurrence is decided by the exactly-once cascade `_cascade`, the one kernel
+behind recurrence, the distance-to-recurrence search and threshold
+activation: each vertex fires at most once, as soon as it is active, and the
+lowest-indexed eligible vertex goes first, for reproducible witnesses.  The
 greedy order is exhaustive by an exchange argument: if greedy stalls with
 fired set A but some full exactly-once order exists, the first vertex of
 that order outside A has received at least as many chips after greedy's run
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from random import Random
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
@@ -64,10 +67,6 @@ def is_effective(f) -> bool:
 
 def add(f, g) -> Divisor:
     return tuple(a + b for a, b in zip(f, g))
-
-
-def sub(f, g) -> Divisor:
-    return tuple(a - b for a, b in zip(f, g))
 
 
 def is_active(g: Multigraph, f, v: int) -> bool:
@@ -128,31 +127,60 @@ class HaltVerdict:
         return self.kind == HALTING
 
 
-def _simulate_halting(degs, nbrs, chips) -> bool:
-    """Play a canonical legal game in place; True when it halts.
+def _play(degs, nbrs, chips, rng: Random | None = None):
+    """Play a legal game in place until it halts or every vertex has fired.
 
-    `chips` is mutated: on a halting game it ends as the stable divisor, on a
-    non-halting game as the state at the moment every vertex has fired once.
+    Fires the lowest-indexed active vertex, or a random active one when an
+    rng is given.  Returns (halted, order, counts); `chips` ends as the
+    stable divisor of a halting game, or as the state at the moment the last
+    unfired vertex fired in a non-halting one.
     """
     n = len(chips)
+    counts = [0] * n
+    order: list[int] = []
     unfired = n
-    fired = bytearray(n)
     while True:
-        v = -1
-        for i in range(n):
-            if chips[i] >= degs[i]:
-                v = i
-                break
-        if v < 0:
-            return True
+        if rng is None:
+            for v in range(n):
+                if chips[v] >= degs[v]:
+                    break
+            else:
+                return True, order, counts
+        else:
+            actives = [i for i in range(n) if chips[i] >= degs[i]]
+            if not actives:
+                return True, order, counts
+            v = rng.choice(actives)
         chips[v] -= degs[v]
         for u, m in nbrs[v]:
             chips[u] += m
-        if not fired[v]:
-            fired[v] = 1
+        order.append(v)
+        counts[v] += 1
+        if counts[v] == 1:
             unfired -= 1
             if unfired == 0:
-                return False
+                return False, order, counts
+
+
+def _cascade(nbrs, slack, done) -> list[int]:
+    """Fire every vertex not yet done at most once; return the firing order.
+
+    A vertex is eligible once its slack is <= 0, and firing v lowers the
+    slack of each neighbor by the multiplicity of the edge.  The lowest-
+    indexed eligible vertex fires first.  `slack` and `done` are updated in
+    place.
+    """
+    heap = [v for v, s in enumerate(slack) if s <= 0 and not done[v]]  # sorted, so a heap
+    order = []
+    while heap:
+        v = heappop(heap)
+        done[v] = 1
+        order.append(v)
+        for u, m in nbrs[v]:
+            slack[u] -= m
+            if not done[u] and slack[u] <= 0 < slack[u] + m:
+                heappush(heap, u)
+    return order
 
 
 def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict:
@@ -166,35 +194,11 @@ def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict
     """
     g.require_connected()
     f = validate_divisor(g, f)
-    n = g.n
-    degs = g.degrees
-    nbrs = g.nbrs
     chips = list(f)
-    fired = [0] * n
-    order: list[int] = []
-    unfired = n
-    while True:
-        if rng is None:
-            v = -1
-            for i in range(n):
-                if chips[i] >= degs[i]:
-                    v = i
-                    break
-        else:
-            actives = [i for i in range(n) if chips[i] >= degs[i]]
-            v = rng.choice(actives) if actives else -1
-        if v < 0:
-            return HaltVerdict(HALTING, stable=tuple(chips))
-        chips[v] -= degs[v]
-        for u, m in nbrs[v]:
-            chips[u] += m
-        order.append(v)
-        if fired[v] == 0:
-            unfired -= 1
-        fired[v] += 1
-        if unfired == 0:
-            trace = GameTrace(tuple(order), tuple(fired), tuple(chips))
-            return HaltVerdict(NON_HALTING, witness=trace)
+    halted, order, counts = _play(g.degrees, g.nbrs, chips, rng)
+    if halted:
+        return HaltVerdict(HALTING, stable=tuple(chips))
+    return HaltVerdict(NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), tuple(chips)))
 
 
 def is_recurrent(g: Multigraph, f) -> tuple[bool, GameTrace | None]:
@@ -206,26 +210,11 @@ def is_recurrent(g: Multigraph, f) -> tuple[bool, GameTrace | None]:
     """
     g.require_connected()
     f = validate_divisor(g, f)
-    n = g.n
-    degs = g.degrees
-    nbrs = g.nbrs
-    chips = list(f)
-    fired = bytearray(n)
-    order: list[int] = []
-    for _ in range(n):
-        v = -1
-        for i in range(n):
-            if not fired[i] and chips[i] >= degs[i]:
-                v = i
-                break
-        if v < 0:
-            return False, None
-        chips[v] -= degs[v]
-        for u, m in nbrs[v]:
-            chips[u] += m
-        fired[v] = 1
-        order.append(v)
-    return True, GameTrace(tuple(order), (1,) * n, tuple(chips))
+    slack = [d - x for d, x in zip(g.degrees, f)]
+    order = _cascade(g.nbrs, slack, bytearray(g.n))
+    if len(order) < g.n:
+        return False, None
+    return True, GameTrace(tuple(order), (1,) * g.n, f)
 
 
 def winnability_complement(g: Multigraph, f) -> Divisor:

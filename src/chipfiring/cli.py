@@ -66,22 +66,29 @@ def _emit(args, obj: dict, text: str) -> None:
         print(text)
 
 
+def _emit_checked(args, obj: dict, text: str, value, oracle) -> int:
+    """Emit a result, first cross-checked against oracle() under --oracle;
+    the exit code is 1 when the two disagree."""
+    agree = True
+    if args.oracle:
+        other = oracle()
+        agree = other == value
+        obj["oracle"] = other
+        obj["agree"] = agree
+        text += f" (oracle {other}: {'agree' if agree else 'DISAGREE'})"
+    _emit(args, obj, text)
+    return 0 if agree else 1
+
+
 def _cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     f = _load_divisor(args.divisor, g)
     _check_guard(args, g, "game")
     value = distance.rank(g, f)
-    obj = {"rank": value}
-    text = f"rank {value}"
-    if args.oracle:
-        other = oracles.rank_definitional(g, f)
-        obj["oracle"] = other
-        obj["agree"] = other == value
-        text += f" (oracle {other}: {'agree' if other == value else 'DISAGREE'})"
-        _emit(args, obj, text)
-        return 0 if other == value else 1
-    _emit(args, obj, text)
-    return 0
+    return _emit_checked(
+        args, {"rank": value}, f"rank {value}", value,
+        lambda: oracles.rank_definitional(g, f),
+    )
 
 
 def _cmd_winnable(args) -> int:
@@ -122,15 +129,7 @@ def _cmd_recurrent(args) -> int:
     if ok and args.witness:
         obj["witness"] = chipfire.trace_to_json(trace)
         text += f", witness order {' '.join(map(str, trace.firing_order))}"
-    if args.oracle:
-        other = oracles.recurrent_permutation(g, f)
-        obj["oracle"] = other
-        obj["agree"] = other == ok
-        text += f" (oracle {other}: {'agree' if other == ok else 'DISAGREE'})"
-        _emit(args, obj, text)
-        return 0 if other == ok else 1
-    _emit(args, obj, text)
-    return 0
+    return _emit_checked(args, obj, text, ok, lambda: oracles.recurrent_permutation(g, f))
 
 
 def _dist_command(args, solver, oracle_predicate) -> int:
@@ -180,51 +179,32 @@ def _cmd_tss(args) -> int:
     best = tss.min_target_set(g, tau)
     obj: dict = {"size": best.size, "members": list(best.members)}
     text = f"minimum target set size {best.size}: {' '.join(map(str, best.members))}"
-    if args.oracle:
-        other = oracles.ts_subset_enumeration(g, tau)
-        obj["oracle"] = other
-        obj["agree"] = other == best.size
-        text += f" (oracle {other}: {'agree' if other == best.size else 'DISAGREE'})"
-        _emit(args, obj, text)
-        return 0 if other == best.size else 1
-    _emit(args, obj, text)
-    return 0
+    return _emit_checked(
+        args, obj, text, best.size, lambda: oracles.ts_subset_enumeration(g, tau)
+    )
 
 
 def _cmd_trace(args) -> int:
     g = _load_graph(args.graph)
     f = _load_divisor(args.divisor, g)
     _check_guard(args, g, "game")
+    g.require_connected()
     rng = Random(args.seed) if args.seed is not None else None
-    verdict = chipfire.classify_halting(g, f, rng=rng)
-    if verdict.is_halting:
-        # replay canonically to recover the full halting game log
+    chips = list(f)
+    halted, order, counts = chipfire._play(g.degrees, g.nbrs, chips, rng)
+    if halted and rng is not None:
+        # a halting game is logged in the canonical order; its end is the same
         chips = list(f)
-        order = []
-        counts = [0] * g.n
-        while True:
-            v = next((i for i in range(g.n) if chips[i] >= g.degrees[i]), -1)
-            if v < 0:
-                break
-            chips[v] -= g.degrees[v]
-            for u, m in g.nbrs[v]:
-                chips[u] += m
-            order.append(v)
-            counts[v] += 1
-        obj = {
-            "kind": verdict.kind,
-            "order": order,
-            "counts": counts,
-            "final": list(verdict.stable),
-        }
+        _halted, order, counts = chipfire._play(g.degrees, g.nbrs, chips)
+    kind = chipfire.HALTING if halted else chipfire.NON_HALTING
+    obj = {"kind": kind, "order": order, "counts": counts, "final": chips}
+    if halted:
         text = f"halting after {len(order)} firings: {' '.join(map(str, order))}\n" \
-               f"stable {' '.join(map(str, verdict.stable))}"
+               f"stable {' '.join(map(str, chips))}"
     else:
-        t = verdict.witness
-        obj = {"kind": verdict.kind, **chipfire.trace_to_json(t)}
         text = (
-            f"non-halting; every vertex fired within {len(t.firing_order)} firings: "
-            f"{' '.join(map(str, t.firing_order))}"
+            f"non-halting; every vertex fired within {len(order)} firings: "
+            f"{' '.join(map(str, order))}"
         )
     _emit(args, obj, text)
     return 0

@@ -10,13 +10,14 @@ return the same verdict per candidate:
 * non-halting checks run from the stabilization of f rather than from f
   itself, since adding an effective g commutes with stabilizing (play the
   stabilizing sequence first, it stays legal with extra chips on the board);
-* recurrence checks extend the exactly-once closure of f instead of
+* recurrence checks continue the exactly-once cascade of f instead of
   recomputing it, since extra chips never deactivate anything and the
   reachable fired set does not depend on the firing order.
 
 Candidates that cannot activate any new vertex are rejected without
-simulation.  Equality with direct per-candidate evaluation is pinned by the
-test suite.
+simulation; for recurrence, the prefilter reads the slack (chips still
+missing) that the cascade of f leaves on each unfired vertex.  Equality with
+direct per-candidate evaluation is pinned by the test suite.
 
 Termination: adding max(0, degree(v) - f(v)) chips to every vertex makes the
 divisor pointwise at least the degree vector, which is recurrent and hence
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
-from .chipfire import Divisor, _simulate_halting, deg, validate_divisor, winnability_complement
+from .chipfire import Divisor, _cascade, _play, deg, validate_divisor, winnability_complement
 from .multigraph import Multigraph
-
-_NEVER = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -65,87 +65,30 @@ def upper_bound_to_recurrent(g: Multigraph, f) -> int:
     return sum(max(0, d - x) for d, x in zip(g.degrees, f))
 
 
-def _exactly_once_closure(g: Multigraph, f) -> tuple[bytearray, list[int], int]:
-    """Largest set fireable exactly once from f, with per-vertex chips received.
-
-    The set does not depend on the firing order: chips received only grow, so
-    any stalled maximal order stalls at the same set.
-    """
-    n = g.n
-    degs = g.degrees
-    nbrs = g.nbrs
-    fired = bytearray(n)
-    received = [0] * n
-    count = 0
-    stack = []
-    for v in range(n):
-        if f[v] >= degs[v]:
-            fired[v] = 1
-            count += 1
-            stack.append(v)
-    while stack:
-        v = stack.pop()
-        for u, m in nbrs[v]:
-            received[u] += m
-            if not fired[u] and f[u] + received[u] >= degs[u]:
-                fired[u] = 1
-                count += 1
-                stack.append(u)
-    return fired, received, count
-
-
-def _closure_covers(g, f, top_up, fired0, received0, count0) -> bool:
-    """Whether the exactly-once closure of f + top_up reaches every vertex,
-    continued from the precomputed closure of f."""
-    n = g.n
-    degs = g.degrees
-    nbrs = g.nbrs
-    fired = bytearray(fired0)
-    received = list(received0)
-    count = count0
-    stack = []
-    for v in range(n):
-        if top_up[v] and not fired[v] and f[v] + top_up[v] + received[v] >= degs[v]:
-            fired[v] = 1
-            count += 1
-            stack.append(v)
-    if not stack:
-        return False
-    while stack:
-        v = stack.pop()
-        for u, m in nbrs[v]:
-            received[u] += m
-            if not fired[u] and f[u] + top_up[u] + received[u] >= degs[u]:
-                fired[u] = 1
-                count += 1
-                stack.append(u)
-    return count == n
-
-
 def dist_rec(g: Multigraph, f) -> DistanceResult:
     """Minimum degree of an effective g such that f + g is recurrent."""
     g.require_connected()
     f = validate_divisor(g, f)
     n = g.n
-    degs = g.degrees
-    fired0, received0, count0 = _exactly_once_closure(g, f)
+    nbrs = g.nbrs
+    slack0 = [d - x for d, x in zip(g.degrees, f)]
+    done0 = bytearray(n)
+    count0 = len(_cascade(nbrs, slack0, done0))
     if count0 == n:
         return DistanceResult(0, (0,) * n)
-    # chips a candidate must drop on v to start anything new there
-    need = [
-        _NEVER if fired0[v] else degs[v] - f[v] - received0[v] for v in range(n)
-    ]
+    # the cascade leaves slack > 0 exactly on the unfired vertices, and a
+    # candidate starts something new only where it covers that slack
+    unfired = [(v, s) for v, s in enumerate(slack0) if s > 0]
     limit = upper_bound_to_recurrent(g, f)
     for k in range(1, limit + 1):
         for cand in effective_divisors(k, n):
-            promising = False
-            for v in range(n):
-                if cand[v] and cand[v] >= need[v]:
-                    promising = True
+            for v, s in unfired:
+                if cand[v] >= s:
                     break
-            if not promising:
+            else:
                 continue
-            if _closure_covers(g, f, cand, fired0, received0, count0):
+            slack = list(map(sub, slack0, cand))
+            if count0 + len(_cascade(nbrs, slack, bytearray(done0))) == n:
                 return DistanceResult(k, cand)
     raise AssertionError("unreachable: the pointwise deficit filler is recurrent")
 
@@ -157,10 +100,9 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     n = g.n
     degs = g.degrees
     nbrs = g.nbrs
-    chips = list(f)
-    if not _simulate_halting(degs, nbrs, chips):
+    stable = list(f)
+    if not _play(degs, nbrs, stable)[0]:
         return DistanceResult(0, (0,) * n)
-    stable = chips
     limit = upper_bound_to_recurrent(g, f)
     for k in range(1, limit + 1):
         for cand in effective_divisors(k, n):
@@ -170,7 +112,7 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
             else:
                 continue  # still stable, the game halts immediately
             trial = [a + b for a, b in zip(stable, cand)]
-            if not _simulate_halting(degs, nbrs, trial):
+            if not _play(degs, nbrs, trial)[0]:
                 return DistanceResult(k, cand)
     raise AssertionError("unreachable: the pointwise deficit filler is non-halting")
 

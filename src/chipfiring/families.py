@@ -32,8 +32,18 @@ def two_vertex_bundle(m: int) -> Multigraph:
 
 
 def _canonical_key(n: int, mult) -> tuple:
+    """Least upper-triangle multiplicity tuple over the vertex orders that
+    list degrees in non-decreasing order.
+
+    An isomorphism preserves degrees, so it maps these orders of one graph
+    onto those of the other; the key is thus a complete invariant while
+    trying only the permutations within each degree class.
+    """
+    degrees = [sum(row) for row in mult]
+    classes = [[v for v in range(n) if degrees[v] == d] for d in sorted(set(degrees))]
     best = None
-    for perm in permutations(range(n)):
+    for parts in product(*(permutations(c) for c in classes)):
+        perm = [v for part in parts for v in part]
         key = tuple(mult[perm[u]][perm[v]] for u in range(n) for v in range(u + 1, n))
         if best is None or key < best:
             best = key

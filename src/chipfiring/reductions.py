@@ -31,7 +31,7 @@ meaning of each id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chipfire import add, is_effective, is_recurrent, validate_divisor
 from .distance import dist_rec
@@ -289,16 +289,7 @@ def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, Tss
     bundle_inst = reduce_tss_to_rec(g, tau)
     m = g.n + 1
     apex_inst = reduce_rec_to_nonhalt(bundle_inst.gprime, bundle_inst.x, M=m)
-    combined_roles = tuple(list(bundle_inst.roles) + ["new"])
-    apex_inst = RecToNonhaltInstance(
-        gpp=apex_inst.gpp,
-        fpp=apex_inst.fpp,
-        M=apex_inst.M,
-        new_vertex=apex_inst.new_vertex,
-        roles=combined_roles,
-        source=apex_inst.source,
-        f=apex_inst.f,
-    )
+    apex_inst = replace(apex_inst, roles=tuple(list(bundle_inst.roles) + ["new"]))
     return apex_inst, bundle_inst
 
 

@@ -2,10 +2,13 @@
 
 A vertex activates once at least its threshold of neighbors is active; the
 closure is the least fixed point of that monotone rule, so round-based and
-asynchronous schedules agree.  Thresholds live on simple graphs and are
-capped at degree + 1: a vertex with threshold degree + 1 can never be
-activated by its neighbors and must belong to every target set, and any
-larger threshold would mean the same thing.
+asynchronous schedules agree.  On a simple graph this is the exactly-once
+chip-firing cascade with slack tau: every active neighbor sends one chip,
+the equivalence the bundle gadget encodes, so the closure runs on the game
+engine's `_cascade`.  Thresholds live on simple graphs and are capped at
+degree + 1: a vertex with threshold degree + 1 can never be activated by
+its neighbors and must belong to every target set, and any larger threshold
+would mean the same thing.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .chipfire import _cascade
 from .errors import FormatError, GraphStructureError, InvalidVertexError
 from .multigraph import Multigraph
 
@@ -51,6 +55,14 @@ class TargetSet:
         return len(self.members)
 
 
+def _activate(nbrs, tau, seed) -> list[int]:
+    """Activation order from the seed set; seeds start with slack 0."""
+    slack = list(tau)
+    for v in seed:
+        slack[v] = 0
+    return _cascade(nbrs, slack, bytearray(len(slack)))
+
+
 def activation_closure(g: Multigraph, tau, seed) -> frozenset[int]:
     """Least fixed point of threshold activation from the seed set.
 
@@ -58,25 +70,7 @@ def activation_closure(g: Multigraph, tau, seed) -> frozenset[int]:
     """
     tau = validate_thresholds(g, tau)
     seed = _validate_seed(g, seed)
-    n = g.n
-    active = bytearray(n)
-    stack = []
-    for v in seed:
-        active[v] = 1
-        stack.append(v)
-    for v in range(n):
-        if tau[v] == 0 and not active[v]:
-            active[v] = 1
-            stack.append(v)
-    active_neighbors = [0] * n
-    while stack:
-        v = stack.pop()
-        for u, _m in g.nbrs[v]:
-            active_neighbors[u] += 1
-            if not active[u] and active_neighbors[u] >= tau[u]:
-                active[u] = 1
-                stack.append(u)
-    return frozenset(v for v in range(n) if active[v])
+    return frozenset(_activate(g.nbrs, tau, seed))
 
 
 def is_target_set(g: Multigraph, tau, seed) -> bool:
@@ -92,7 +86,7 @@ def min_target_set(g: Multigraph, tau) -> TargetSet:
     tau = validate_thresholds(g, tau)
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
-            if is_target_set(g, tau, subset):
+            if len(_activate(g.nbrs, tau, subset)) == g.n:
                 return TargetSet(subset)
     raise AssertionError("unreachable: the full vertex set is a target set")
 
@@ -107,7 +101,7 @@ def greedy_target_set(g: Multigraph, tau) -> TargetSet:
     tau = validate_thresholds(g, tau)
     chosen = [v for v in range(g.n) if tau[v] > g.degrees[v]]
     while True:
-        reached = activation_closure(g, tau, chosen)
+        reached = frozenset(_activate(g.nbrs, tau, chosen))
         if len(reached) == g.n:
             return TargetSet(tuple(sorted(chosen)))
         missing = [v for v in range(g.n) if v not in reached]

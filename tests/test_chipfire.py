@@ -189,3 +189,31 @@ def test_recurrence_witness_is_exactly_once(gf):
         # firing everyone once is the identity
         assert trace.final == f
         assert fire_sequence(g, f, trace.firing_order, require_legal=True) == f
+
+
+def _replay_lowest_first(g, f, order, once):
+    """Replay a firing order, checking that each step fires the lowest-
+    indexed eligible vertex: active and, when `once`, not fired yet."""
+    chips = list(f)
+    fired = set()
+    for v in order:
+        eligible = [
+            u for u in range(g.n) if chips[u] >= g.degrees[u] and not (once and u in fired)
+        ]
+        assert eligible and v == eligible[0], (g.edges(), f, order)
+        chips[v] -= g.degrees[v]
+        for u, m in g.nbrs[v]:
+            chips[u] += m
+        fired.add(v)
+    return tuple(chips)
+
+
+@given(graph_and_divisor)
+def test_witnesses_fire_lowest_eligible_vertex(gf):
+    g, f = gf
+    ok, trace = is_recurrent(g, f)
+    if ok:
+        assert _replay_lowest_first(g, f, trace.firing_order, once=True) == trace.final
+    witness = classify_halting(g, f).witness
+    if witness is not None:
+        assert _replay_lowest_first(g, f, witness.firing_order, once=False) == witness.final

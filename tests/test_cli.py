@@ -1,0 +1,228 @@
+"""Golden tests for the command-line front end.
+
+Every case pins the exact stdout and exit code of `chipfiring.cli.main` on
+tiny input files, so that JSON output stays byte-identical and the exit
+codes 0 (success), 1 (a cross-check disagreed) and 2 (input error) keep
+their meaning.
+"""
+
+import pytest
+
+from chipfiring import cli, oracles
+
+FILES = {
+    "c3.graph": "3\n0 1 1\n1 2 1\n0 2 1\n",
+    "k2.graph": "2\n0 1 1\n",
+    "p5.graph": "5\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n",
+    # a 4-cycle with the chord 0-2
+    "d4.graph": "4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n0 2 1\n",
+    # a path on 4 vertices with a doubled first edge
+    "p4m.graph": "4\n0 1 2\n1 2 1\n2 3 1\n",
+    "disc.graph": "2\n",
+    "halt.div": "2 0 0\n",
+    "nonhalt.div": "2 1 0\n",
+    # a halting game of 10 firings with several vertices active at once
+    "p5.div": "0 0 0 0 3\n",
+    # a non-halting game whose seeded witness differs from the canonical one
+    "d4.div": "0 3 2 2\n",
+    "k2.div": "1 0\n",
+    "p4m.div": "3 0 0 1\n",
+    "zero2.div": "0 0\n",
+    "bad.div": "1 x 0\n",
+    "c3.thr": "1 1 1\n",
+    "k2.thr": "1 1\n",
+}
+
+J = ("--format", "json")
+
+GOLDEN = [
+    (
+        ("rank", "c3.graph", "halt.div", *J, "--oracle"),
+        '{"agree": true, "oracle": 1, "rank": 1}\n',
+    ),
+    (("winnable", "c3.graph", "halt.div", *J), '{"winnable": true}\n'),
+    (("halting", "c3.graph", "halt.div", *J), '{"kind": "halting", "stable": [0, 1, 1]}\n'),
+    (
+        ("halting", "d4.graph", "d4.div", *J, "--witness"),
+        '{"kind": "non-halting", "witness": {"counts": [1, 2, 1, 1], '
+        '"final": [1, 1, 3, 2], "order": [1, 2, 1, 0, 3]}}\n',
+    ),
+    (
+        ("halting", "d4.graph", "d4.div", *J, "--witness", "--seed", "4"),
+        '{"kind": "non-halting", "witness": {"counts": [1, 2, 1, 1], '
+        '"final": [1, 1, 3, 2], "order": [1, 3, 2, 1, 0]}}\n',
+    ),
+    (
+        ("recurrent", "c3.graph", "nonhalt.div", *J, "--witness", "--oracle"),
+        '{"agree": true, "oracle": true, "recurrent": true, "witness": '
+        '{"counts": [1, 1, 1], "final": [2, 1, 0], "order": [0, 1, 2]}}\n',
+    ),
+    (
+        ("dist-nonhalt", "c3.graph", "halt.div", *J, "--witness"),
+        '{"value": 1, "witness": [0, 1, 0]}\n',
+    ),
+    (
+        ("dist-rec", "c3.graph", "halt.div", *J, "--witness", "--oracle"),
+        '{"agree": true, "value": 1, "witness": [0, 1, 0]}\n',
+    ),
+    (
+        ("tss", "c3.graph", "c3.thr", *J, "--oracle"),
+        '{"agree": true, "members": [0], "oracle": 1, "size": 1}\n',
+    ),
+    (
+        ("trace", "p5.graph", "p5.div", *J),
+        '{"counts": [0, 0, 1, 3, 6], "final": [0, 1, 1, 1, 0], "kind": "halting", '
+        '"order": [4, 4, 3, 4, 4, 3, 2, 4, 3, 4]}\n',
+    ),
+    # a halting game is logged in the canonical order whatever the seed
+    (
+        ("trace", "p5.graph", "p5.div", *J, "--seed", "4"),
+        '{"counts": [0, 0, 1, 3, 6], "final": [0, 1, 1, 1, 0], "kind": "halting", '
+        '"order": [4, 4, 3, 4, 4, 3, 2, 4, 3, 4]}\n',
+    ),
+    (
+        ("trace", "d4.graph", "d4.div", *J),
+        '{"counts": [1, 2, 1, 1], "final": [1, 1, 3, 2], "kind": "non-halting", '
+        '"order": [1, 2, 1, 0, 3]}\n',
+    ),
+    (
+        ("trace", "d4.graph", "d4.div", *J, "--seed", "4"),
+        '{"counts": [1, 2, 1, 1], "final": [1, 1, 3, 2], "kind": "non-halting", '
+        '"order": [1, 3, 2, 1, 0]}\n',
+    ),
+    (
+        ("trace", "p5.graph", "p5.div"),
+        "halting after 10 firings: 4 4 3 4 4 3 2 4 3 4\nstable 0 1 1 1 0\n",
+    ),
+    (
+        ("trace", "d4.graph", "d4.div"),
+        "non-halting; every vertex fired within 5 firings: 1 2 1 0 3\n",
+    ),
+    (
+        ("reduce", "tss-to-rec", "k2.graph", "k2.thr", *J),
+        '{"divisor": {"chips": [4, 4, 1, 1, 4, 4, 1, 1]}, "graph": {"edges": '
+        "[[0, 2, 4], [0, 7, 1], [1, 3, 4], [1, 6, 1], [2, 4, 1], [3, 5, 1], "
+        '[4, 6, 4], [5, 7, 4]], "n": 8}, "sidecar": {"M": null, "N": 4, "roles": '
+        '["i:0", "i:1", "c:0", "c:1", "o:0", "o:1", "p:0:1", "p:1:0"]}}\n',
+    ),
+    (
+        ("reduce", "rec-to-nonhalt", "k2.graph", "k2.div", *J),
+        '{"divisor": {"chips": [4, 3, 0]}, "graph": {"edges": [[0, 1, 1], '
+        '[0, 2, 3], [1, 2, 3]], "n": 3}, "sidecar": {"M": 3, "N": null, "roles": '
+        '["orig:0", "orig:1", "new"]}}\n',
+    ),
+    (
+        ("reduce", "tss-to-nonhalt", "k2.graph", "k2.thr", *J),
+        '{"divisor": {"chips": [7, 7, 4, 4, 7, 7, 4, 4, 0]}, "graph": {"edges": '
+        "[[0, 2, 4], [0, 7, 1], [0, 8, 3], [1, 3, 4], [1, 6, 1], [1, 8, 3], "
+        "[2, 4, 1], [2, 8, 3], [3, 5, 1], [3, 8, 3], [4, 6, 4], [4, 8, 3], "
+        '[5, 7, 4], [5, 8, 3], [6, 8, 3], [7, 8, 3]], "n": 9}, "sidecar": '
+        '{"M": 3, "N": 4, "roles": ["i:0", "i:1", "c:0", "c:1", "o:0", "o:1", '
+        '"p:0:1", "p:1:0", "new"]}}\n',
+    ),
+    (
+        ("subdivide", "p4m.graph", "p4m.div", *J),
+        '{"divisor": {"chips": [3, 0, 0, 1, 0, 0, 0, 0]}, "graph": {"edges": '
+        "[[0, 4, 1], [0, 5, 1], [1, 4, 1], [1, 5, 1], [1, 6, 1], [2, 6, 1], "
+        '[2, 7, 1], [3, 7, 1]], "n": 8}, "sidecar": {"M": null, "N": null, '
+        '"roles": ["orig:0", "orig:1", "orig:2", "orig:3", "sub:0:1", "sub:0:1", '
+        '"sub:1:2", "sub:2:3"]}}\n',
+    ),
+    (
+        ("verify-chain", "k2.graph", "k2.thr", *J),
+        "".join(
+            '{"agree": true, "instance": "8c9a5adf60a3", '
+            f'"oracle": {oracle}, "pipeline": {pipeline}, "quantity": "{quantity}"}}\n'
+            for quantity, pipeline, oracle in [
+                ("target-set-size/subset-oracle", 1, 1),
+                ("target-set-size/dist-rec", 1, 1),
+                ("dist-rec/dist-nonhalt", 1, 1),
+                ("target-set-size/dist-nonhalt", 1, 1),
+                ("bundle-margin (N vs dist-rec + 1)", 4, 2),
+                ("apex-margin (M vs dist-nonhalt)", 3, 1),
+            ]
+        ),
+    ),
+    (("rank", "c3.graph", "halt.div", "--oracle"), "rank 1 (oracle 1: agree)\n"),
+    (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle True: agree)\n"),
+    (
+        ("tss", "c3.graph", "c3.thr", "--oracle"),
+        "minimum target set size 1: 0 (oracle 1: agree)\n",
+    ),
+]
+
+DISAGREE = [
+    (
+        ("rank", "c3.graph", "halt.div", *J, "--oracle"),
+        '{"agree": false, "oracle": 7, "rank": 1}\n',
+    ),
+    (("rank", "c3.graph", "halt.div", "--oracle"), "rank 1 (oracle 7: DISAGREE)\n"),
+    (
+        ("recurrent", "c3.graph", "nonhalt.div", *J, "--oracle"),
+        '{"agree": false, "oracle": false, "recurrent": true}\n',
+    ),
+    (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle False: DISAGREE)\n"),
+    (("dist-rec", "c3.graph", "halt.div", *J, "--oracle"), '{"agree": false, "value": 1}\n'),
+    (
+        ("tss", "c3.graph", "c3.thr", *J, "--oracle"),
+        '{"agree": false, "members": [0], "oracle": 2, "size": 1}\n',
+    ),
+    (
+        ("tss", "c3.graph", "c3.thr", "--oracle"),
+        "minimum target set size 1: 0 (oracle 2: DISAGREE)\n",
+    ),
+]
+
+
+@pytest.fixture
+def run(tmp_path, monkeypatch, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+    def go(argv):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return go
+
+
+def _id(argv):
+    return " ".join(argv)
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN, ids=[_id(a) for a, _ in GOLDEN])
+def test_golden_output(run, argv, stdout):
+    assert run(argv) == (0, stdout, "")
+
+
+def test_every_subcommand_has_a_json_golden():
+    pinned = {argv[0] for argv, _ in GOLDEN if "json" in argv}
+    assert pinned == {
+        "rank", "winnable", "halting", "recurrent", "dist-nonhalt", "dist-rec",
+        "tss", "trace", "reduce", "subdivide", "verify-chain",
+    }
+
+
+@pytest.mark.parametrize("argv, stdout", DISAGREE, ids=[_id(a) for a, _ in DISAGREE])
+def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
+    monkeypatch.setattr(oracles, "rank_definitional", lambda g, f: 7)
+    monkeypatch.setattr(oracles, "recurrent_permutation", lambda g, f: False)
+    monkeypatch.setattr(oracles, "ts_subset_enumeration", lambda g, tau: 2)
+    assert run(argv) == (1, stdout, "")
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("rank", "disc.graph", "zero2.div", *J), "error: operation requires a connected graph\n"),
+        (
+            ("rank", "c3.graph", "bad.div", *J),
+            "error: divisor line must contain integers, got '1 x 0'\n",
+        ),
+    ],
+    ids=["disconnected", "malformed-divisor"],
+)
+def test_input_errors_exit_2(run, argv, stderr):
+    assert run(argv) == (2, "", stderr)

@@ -14,6 +14,7 @@ from chipfiring import (
     parse_graph,
 )
 from chipfiring.families import (
+    connected_simple_graphs,
     cycle_graph,
     path_graph,
     random_connected_multigraph,
@@ -152,3 +153,9 @@ def test_parse_errors():
         parse_graph('{"n": 2}')
     with pytest.raises(FormatError):
         parse_graph('{"n": 2, "edges": [[0, 0, 1]]}')
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)])
+def test_connected_simple_graph_class_counts(n, classes):
+    # OEIS A001349: connected graphs on n unlabelled vertices
+    assert len(connected_simple_graphs([n])) == classes
