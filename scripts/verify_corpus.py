@@ -4,7 +4,9 @@
 Either scans a directory of paired files (x.graph with x.thr) or generates
 the exhaustive family of small simple connected graphs with every threshold
 assignment in a range.  Emits one JSON line per checked quantity, so the
-output can be filtered with standard tools (e.g. jq 'select(.agree|not)').
+output can be filtered with standard tools (e.g. jq 'select(.agree|not)'),
+and ends with one summary line on stderr: instances checked, disagreements
+per quantity and the slowest instance.
 
 Example:
     python3 scripts/verify_corpus.py --family 3 --max-tau-offset 0
@@ -13,6 +15,8 @@ Example:
 
 import argparse
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -23,29 +27,48 @@ from chipfiring.oracles import verify_reduction_chain
 from chipfiring.tss import parse_thresholds
 
 
-def run_directory(directory: Path) -> int:
-    bad = 0
+class Tally:
+    """Instances checked, disagreements per quantity and the slowest instance."""
+
+    def __init__(self):
+        self.instances = 0
+        self.disagreements = Counter()
+        self.slowest = (0.0, "none")
+
+    def check(self, g, tau) -> None:
+        start = time.perf_counter()
+        reports = verify_reduction_chain(g, tau)
+        seconds = time.perf_counter() - start
+        self.instances += 1
+        self.slowest = max(self.slowest, (seconds, reports[0].fingerprint))
+        for report in reports:
+            print(report.json_line())
+            self.disagreements[report.quantity] += 0 if report.agree else 1
+
+    def bad(self) -> int:
+        return sum(self.disagreements.values())
+
+    def summary(self) -> str:
+        per_quantity = ", ".join(f"{q}: {k}" for q, k in self.disagreements.items())
+        seconds, fingerprint = self.slowest
+        return (f"{self.instances} instances checked; disagreements: {per_quantity or 'none'}; "
+                f"slowest instance {fingerprint} took {seconds:.3f} s")
+
+
+def run_directory(directory: Path, tally: Tally) -> None:
     for gpath in sorted(directory.glob("*.graph")):
         tpath = gpath.with_suffix(".thr")
         if not tpath.exists():
             print(f"skipping {gpath.name}: no matching .thr file", file=sys.stderr)
             continue
         g = parse_graph(gpath.read_text())
-        tau = parse_thresholds(tpath.read_text(), g.n)
-        for report in verify_reduction_chain(g, tau):
-            print(report.json_line())
-            bad += 0 if report.agree else 1
-    return bad
+        tally.check(g, parse_thresholds(tpath.read_text(), g.n))
 
 
-def run_family(max_n: int, tau_low: int, tau_offset: int) -> int:
-    bad = 0
+def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
     for g in connected_simple_graphs(range(2, max_n + 1)):
         for tau in threshold_assignments(g, low=tau_low, high_offset=tau_offset):
-            for report in verify_reduction_chain(g, tau):
-                print(report.json_line())
-                bad += 0 if report.agree else 1
-    return bad
+            tally.check(g, tau)
 
 
 def main() -> int:
@@ -57,18 +80,17 @@ def main() -> int:
     parser.add_argument("--min-tau", type=int, default=1)
     parser.add_argument("--max-tau-offset", type=int, default=0,
                         help="thresholds range up to degree + OFFSET "
-                             "(offset 1 exercises the known-broken boundary)")
+                             "(offset 1 adds the forced vertices, tau = deg + 1)")
     args = parser.parse_args()
+    tally = Tally()
     if args.dir is not None:
-        bad = run_directory(args.dir)
+        run_directory(args.dir, tally)
     else:
         if args.family > 4:
             parser.error("family sizes above 4 are far beyond desk scale")
-        bad = run_family(args.family, args.min_tau, args.max_tau_offset)
-    if bad:
-        print(f"{bad} disagreeing reports", file=sys.stderr)
-        return 1
-    return 0
+        run_family(args.family, args.min_tau, args.max_tau_offset, tally)
+    print(tally.summary(), file=sys.stderr)
+    return 1 if tally.bad() else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def two_vertex_bundle(m: int) -> Multigraph:
     return Multigraph(2, [(0, 1, m)])
 
 
-def _canonical_key(n: int, mult) -> tuple:
+def _canonical_key(g: Multigraph) -> tuple:
     """Least upper-triangle multiplicity tuple over the vertex orders that
     list degrees in non-decreasing order.
 
@@ -39,7 +39,10 @@ def _canonical_key(n: int, mult) -> tuple:
     onto those of the other; the key is thus a complete invariant while
     trying only the permutations within each degree class.
     """
-    degrees = [sum(row) for row in mult]
+    n, degrees = g.n, g.degrees
+    mult = [[0] * n for _ in range(n)]
+    for u, v, m in g.edges():
+        mult[u][v] = mult[v][u] = m
     classes = [[v for v in range(n) if degrees[v] == d] for d in sorted(set(degrees))]
     best = None
     for parts in product(*(permutations(c) for c in classes)):
@@ -67,7 +70,7 @@ def connected_multigraphs(max_n: int, max_edges: int, min_n: int = 1):
                 g = Multigraph(n, edges)
                 if not g.is_connected():
                     continue
-                key = _canonical_key(n, g.mult)
+                key = _canonical_key(g)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -89,7 +92,7 @@ def connected_simple_graphs(n_values):
                 g = Multigraph(n, [(u, v, 1) for u, v in chosen])
                 if not g.is_connected():
                     continue
-                key = _canonical_key(n, g.mult)
+                key = _canonical_key(g)
                 if key in seen:
                     continue
                 seen.add(key)

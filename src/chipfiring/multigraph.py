@@ -1,11 +1,12 @@
 """Undirected multigraphs with parallel edges.
 
 Vertices are dense integers 0..n-1, stable for the lifetime of a graph.
-Edges are stored as a symmetric multiplicity matrix: every operation in this
-package only needs the number of parallel edges between two endpoints, so a
-bundle of N parallel edges costs the same as a single edge.  Self-loops are
-rejected at construction time; firing across one would be a no-op and no
-construction here ever creates one.
+Edges are stored only as adjacency lists: each vertex's neighbors in
+increasing order, each paired with its number of parallel edges, so a bundle
+of N parallel edges is one entry and storage grows with the edges, not with
+n squared.  Degrees, the edge list and equality derive from these lists.
+Self-loops are rejected at construction time; firing across one would be a
+no-op and no construction here ever creates one.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ Edge = tuple[int, int, int]
 class Multigraph:
     """Immutable undirected multigraph without self-loops.
 
-    Instances are safe to share read-only across workers; all derived data
-    (degrees, neighbor lists, edge count) is computed once at construction.
+    Instances are safe to share read-only across workers; the neighbor lists,
+    degrees and edge count are computed once at construction.
     """
 
-    __slots__ = ("n", "mult", "degrees", "nbrs", "edge_count")
+    __slots__ = ("n", "degrees", "nbrs", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not isinstance(n, int) or n < 1:
             raise GraphStructureError(f"vertex count must be a positive integer, got {n!r}")
-        m = [[0] * n for _ in range(n)]
+        adj = [{} for _ in range(n)]
         for item in edges:
             try:
                 u, v, k = item
@@ -51,14 +52,12 @@ class Multigraph:
                 raise GraphStructureError(f"self-loop at vertex {u} is not allowed")
             if not isinstance(k, int) or k < 1:
                 raise GraphStructureError(f"edge multiplicity must be a positive integer, got {item!r}")
-            m[u][v] += k
-            m[v][u] += k
+            u, v = int(u), int(v)  # a bool endpoint is stored as the int it equals
+            adj[u][v] = adj[u].get(v, 0) + k
+            adj[v][u] = adj[v].get(u, 0) + k
         self.n = n
-        self.mult = tuple(tuple(row) for row in m)
-        self.degrees = tuple(sum(row) for row in self.mult)
-        self.nbrs = tuple(
-            tuple((u, row[u]) for u in range(n) if row[u]) for row in self.mult
-        )
+        self.nbrs = tuple(tuple(sorted(row.items())) for row in adj)
+        self.degrees = tuple(sum(row.values()) for row in adj)
         self.edge_count = sum(self.degrees) // 2
 
     def _check_vertex(self, v: int) -> None:
@@ -76,7 +75,7 @@ class Multigraph:
     def multiplicity(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
-        return self.mult[u][v]
+        return dict(self.nbrs[u]).get(v, 0)
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """(vertex, multiplicity) pairs for every neighbor of v."""
@@ -88,12 +87,7 @@ class Multigraph:
 
     def edges(self) -> list[Edge]:
         """Unordered pairs with positive multiplicity, as sorted (u, v, m) triples."""
-        return [
-            (u, v, self.mult[u][v])
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if self.mult[u][v]
-        ]
+        return [(u, v, m) for u, row in enumerate(self.nbrs) for v, m in row if u < v]
 
     def is_connected(self) -> bool:
         seen = bytearray(self.n)
@@ -119,21 +113,17 @@ class Multigraph:
         return self.edge_count - self.n + 1
 
     def is_simple(self) -> bool:
-        return all(m <= 1 for row in self.mult for m in row)
+        return all(m <= 1 for row in self.nbrs for _u, m in row)
 
     def require_simple(self) -> None:
         if not self.is_simple():
             raise GraphStructureError("operation requires a simple graph (all multiplicities <= 1)")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Multigraph)
-            and self.n == other.n
-            and self.mult == other.mult
-        )
+        return isinstance(other, Multigraph) and self.nbrs == other.nbrs
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mult))
+        return hash(self.nbrs)
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, edges={self.edges()!r})"
@@ -184,9 +174,7 @@ def parse_graph(text: str) -> Multigraph:
         edges.append((u, v, m))
     try:
         return Multigraph(n, edges)
-    except GraphStructureError as exc:
-        raise FormatError(str(exc)) from None
-    except InvalidVertexError as exc:
+    except (GraphStructureError, InvalidVertexError) as exc:
         raise FormatError(str(exc)) from None
 
 
@@ -204,7 +192,5 @@ def graph_from_json(obj: object) -> Multigraph:
         triples.append(tuple(e))
     try:
         return Multigraph(n, triples)
-    except GraphStructureError as exc:
-        raise FormatError(str(exc)) from None
-    except InvalidVertexError as exc:
+    except (GraphStructureError, InvalidVertexError) as exc:
         raise FormatError(str(exc)) from None

@@ -5,6 +5,8 @@ no game-engine or closure code with the other modules: the greedy engine is
 checked against permutation search, the target-set solver against an
 independent subset scan, and the rank pipeline against the raw definition
 with winnability decided by a bounded search over firing-count vectors.
+Each oracle call builds its own dense multiplicity matrix from the public
+`Multigraph.edges()`, never reading the adjacency lists the pipeline runs on.
 
 The bounded winnability search asks whether some integer vector z with
 entries in [0, bound] makes f minus the net chip flow of firing each vertex
@@ -68,6 +70,13 @@ def instance_fingerprint(g: Multigraph, values) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _dense(g: Multigraph) -> list[list[int]]:
+    mult = [[0] * g.n for _ in range(g.n)]
+    for u, v, m in g.edges():
+        mult[u][v] = mult[v][u] = m
+    return mult
+
+
 def recurrent_permutation(g: Multigraph, f) -> bool:
     """Whether some permutation of the vertices is a legal firing sequence
     from f, by depth-first search over all orders (illegal prefixes are
@@ -77,7 +86,7 @@ def recurrent_permutation(g: Multigraph, f) -> bool:
         raise SizeGuardError(f"permutation search is limited to {PERMUTATION_GUARD} vertices")
     n = g.n
     degs = g.degrees
-    mult = g.mult
+    mult = _dense(g)
     chips = list(f)
     used = bytearray(n)
 
@@ -110,7 +119,7 @@ def ts_subset_enumeration(g: Multigraph, tau) -> int:
     if g.n > SUBSET_GUARD:
         raise SizeGuardError(f"subset enumeration is limited to {SUBSET_GUARD} vertices")
     n = g.n
-    mult = g.mult
+    mult = _dense(g)
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             active = set(subset) | {v for v in range(n) if tau[v] == 0}
@@ -151,7 +160,7 @@ def winnable_within_bound(g: Multigraph, f, bound: int) -> bool:
         return True
     n = g.n
     degs = g.degrees
-    mult = g.mult
+    mult = _dense(g)
     z = [bound] * n
     pending = deque(range(n))
     queued = bytearray([1] * n)
@@ -187,7 +196,7 @@ def winnable_exhaustive(g: Multigraph, f, bound: int) -> bool:
     if (bound + 1) ** n > EXHAUSTIVE_GUARD:
         raise SizeGuardError("exhaustive winnability enumeration would be too large")
     degs = g.degrees
-    mult = g.mult
+    mult = _dense(g)
     for z in product(range(bound + 1), repeat=n):
         if min(z) != 0:
             continue  # a uniform shift of z induces the same net flow
@@ -226,7 +235,8 @@ def rank_definitional(g: Multigraph, f, winnability_bound: int | None = None) ->
 def verify_reduction_chain(g: Multigraph, tau) -> list[OracleReport]:
     """Run every leg of the target-set-to-chip-distance chain on one instance
     and report each equality and safety margin; disagreements are returned,
-    never swallowed."""
+    never swallowed.  The target-set size must equal each distance plus the
+    number of forced vertices (tau = deg + 1), which the gadget seeds itself."""
     tau = validate_thresholds(g, tau)
     fp = instance_fingerprint(g, tau)
     ts_pipeline = min_target_set(g, tau).size
@@ -234,15 +244,16 @@ def verify_reduction_chain(g: Multigraph, tau) -> list[OracleReport]:
     apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
     rec_value = dist_rec(bundle_inst.gprime, bundle_inst.x).value
     nonhalt_value = dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value
+    forced = bundle_inst.forced
     return [
         OracleReport("target-set-size/subset-oracle", ts_pipeline, ts_oracle,
                      ts_pipeline == ts_oracle, fp),
-        OracleReport("target-set-size/dist-rec", ts_pipeline, rec_value,
-                     ts_pipeline == rec_value, fp),
+        OracleReport("target-set-size/dist-rec", ts_pipeline, rec_value + forced,
+                     ts_pipeline == rec_value + forced, fp),
         OracleReport("dist-rec/dist-nonhalt", rec_value, nonhalt_value,
                      rec_value == nonhalt_value, fp),
-        OracleReport("target-set-size/dist-nonhalt", ts_pipeline, nonhalt_value,
-                     ts_pipeline == nonhalt_value, fp),
+        OracleReport("target-set-size/dist-nonhalt", ts_pipeline, nonhalt_value + forced,
+                     ts_pipeline == nonhalt_value + forced, fp),
         OracleReport("bundle-margin (N vs dist-rec + 1)", bundle_inst.N, rec_value + 1,
                      bundle_inst.N > rec_value + 1, fp),
         OracleReport("apex-margin (M vs dist-nonhalt)", apex_inst.M, nonhalt_value,

@@ -12,7 +12,11 @@ single edge into u_i.  Chips: x(v_o) = deg(v_o) - 1, x(v_i) = deg(v_i) -
 tau(v), and x(z) = deg(z) - N = 1 on cores and ports.  Dropping one chip on
 u_o lets u_o fire immediately, which charges its ports, which feed the
 inner vertices of u's neighbors one chip each: the exactly-once game then
-replays the activation cascade, threshold for threshold.
+replays the activation cascade, threshold for threshold.  A forced vertex,
+tau(v) = deg(v) + 1, cannot be activated by its neighbors, so it is in every
+target set; the gadget gives it threshold 0 instead, which activates it
+exactly as a seed would, and min TSS = dist_rec + the number of forced
+vertices.
 
 Apex gadget (distance to recurrence -> distance to non-halting).  A new apex
 vertex joins the graph with M parallel edges to every original vertex, M
@@ -56,6 +60,7 @@ class TssToRecInstance:
     bullet: frozenset[int]
     source: Multigraph
     tau: tuple[int, ...]
+    forced: int
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,15 @@ class RecToNonhaltInstance:
     f: tuple[int, ...]
 
 
+def _forced_vertices(g: Multigraph, tau) -> tuple[int, ...]:
+    """Vertices whose threshold exceeds their degree: every target set holds them."""
+    return tuple(v for v in range(g.n) if tau[v] > g.degrees[v])
+
+
 def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     """Build the bundle gadget for a simple connected graph with thresholds.
+
+    Forced vertices get gadget threshold 0 and are counted in `forced`.
 
     Raises GraphStructureError if g is not simple, is disconnected (as its
     subclass DisconnectedGraphError) or has fewer than two vertices, or if
@@ -83,6 +95,7 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     if g.n < 2:
         raise GraphStructureError("the bundle gadget needs at least two source vertices")
     n = g.n
+    forced = _forced_vertices(g, tau)
     bundle = n + 2
     edge_pairs = [(u, v) for u, v, _m in g.edges()]
     inner = tuple(range(n))
@@ -108,7 +121,7 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     x = [0] * total
     for v in range(n):
         x[outer[v]] = gprime.degrees[outer[v]] - 1
-        x[inner[v]] = gprime.degrees[inner[v]] - tau[v]
+        x[inner[v]] = gprime.degrees[inner[v]] - (0 if v in forced else tau[v])
         x[core[v]] = gprime.degrees[core[v]] - bundle
     for p in ports.values():
         x[p] = gprime.degrees[p] - bundle
@@ -143,26 +156,27 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         bullet=bullet_set,
         source=g,
         tau=tau,
+        forced=len(forced),
     )
 
 
 def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
     """Turn a valid target set into a recurrence witness: one chip on the
-    outer vertex of every seed.  The recurrence of x + y is asserted."""
+    outer vertex of every seed that is not forced (the gadget activates
+    forced vertices by itself).  The recurrence of x + y is asserted."""
     if isinstance(members, TargetSet):
         members = members.members
     members = tuple(sorted(set(members)))
     if not is_target_set(inst.source, inst.tau, members):
         raise WitnessError(f"{members} is not a target set of the source instance")
+    forced = _forced_vertices(inst.source, inst.tau)
     y = [0] * inst.gprime.n
     for v in members:
-        y[inst.outer[v]] = 1
+        if v not in forced:
+            y[inst.outer[v]] = 1
     ok, _trace = is_recurrent(inst.gprime, add(inst.x, y))
     if not ok:
-        raise WitnessError(
-            "lifted seed chips do not make the gadget configuration recurrent; "
-            "this happens when some threshold exceeds the source degree"
-        )
+        raise WitnessError("lifted seed chips do not make the gadget configuration recurrent")
     return tuple(y)
 
 
@@ -175,7 +189,10 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
     not yet fired in a canonical exactly-once game, lowest u first, taking
     all of them when fewer than the chip count remain.  Every normalization
     step re-checks recurrence, so a witness that is not actually of minimum
-    degree fails loudly instead of yielding a bogus set.
+    degree fails loudly instead of yielding a bogus set.  Forced vertices need
+    no chip (the gadget activates them), so a chip on one's outer vertex is
+    rejected, no chip is relocated onto one, and all of them are added to the
+    set read off the witness.
     """
     y = validate_divisor(inst.gprime, y)
     if not is_effective(y):
@@ -191,10 +208,15 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
             raise WitnessError(
                 f"chips on core/port vertex {z}: a minimum witness never needs them"
             )
+    forced = _forced_vertices(inst.source, inst.tau)
     for v in range(inst.source.n):
         if work[inst.outer[v]] > 1:
             raise WitnessError(
                 f"more than one chip on outer vertex of {v}: witness is not minimum"
+            )
+        if work[inst.outer[v]] and v in forced:
+            raise WitnessError(
+                f"chip on outer vertex of forced vertex {v}: a minimum witness never needs it"
             )
     source_nbrs = {
         v: sorted(u for u, _m in inst.source.nbrs[v]) for v in range(inst.source.n)
@@ -210,7 +232,8 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
         position = {vertex: t for t, vertex in enumerate(trace.firing_order)}
         pivot = position[iv]
         late_ports = [
-            u for u in source_nbrs[v] if position[inst.ports[(u, v)]] > pivot
+            u for u in source_nbrs[v]
+            if u not in forced and position[inst.ports[(u, v)]] > pivot
         ]
         chosen = late_ports[:k]
         work[iv] = 0
@@ -230,6 +253,7 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
         raise WitnessError(
             "normalization changed the witness degree; input was not minimum"
         )
+    members = tuple(sorted(members + forced))
     if not is_target_set(inst.source, inst.tau, members):
         raise WitnessError("extracted seed set does not activate the whole source graph")
     return TargetSet(members)
@@ -281,10 +305,10 @@ def reduce_rec_to_nonhalt(
 def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, TssToRecInstance]:
     """Compose the two gadgets with apex multiplicity |V| + 1.
 
-    That choice is justified when no threshold exceeds its vertex degree:
-    the minimum target set has at most |V| seeds and the gadget chips never
-    exceed the gadget degrees, so the apex bound holds without solving
-    anything.
+    That choice always suffices: the gadget's distance to recurrence is at
+    most |V| (one seed chip per vertex that is not forced) and the gadget
+    chips never exceed the gadget degrees (forced vertices get threshold 0),
+    so the apex bound holds without solving anything.
     """
     bundle_inst = reduce_tss_to_rec(g, tau)
     m = g.n + 1

@@ -6,6 +6,12 @@ codes 0 (success), 1 (a cross-check disagreed) and 2 (input error) keep
 their meaning.
 """
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chipfiring import cli, oracles
@@ -226,3 +232,29 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
 )
 def test_input_errors_exit_2(run, argv, stderr):
     assert run(argv) == (2, "", stderr)
+
+
+def _cap_address_space():
+    # the child may map at most 1 GiB, so a dense n x n graph build fails
+    # with MemoryError there instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
+    (tmp_path / "big.graph").write_text("30000\n0 1 1\n")
+    (tmp_path / "big.div").write_text(" ".join(["0"] * 30000) + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfiring.cli", "halting", "big.graph", "big.div"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        "error: graph has 30000 vertices, above the size guard 16 "
+        "(override with --max-n at your own risk)\n",
+    )

@@ -17,7 +17,9 @@ from chipfiring import (
 )
 from chipfiring.distance import DistanceResult, effective_divisors
 from chipfiring.families import (
+    connected_multigraphs,
     cycle_graph,
+    divisors_in_box,
     random_connected_multigraph,
     random_divisor,
 )
@@ -70,6 +72,17 @@ def test_rank_examples():
     assert rank(K2, (-1, 0)) == -1
     assert rank(C3, (1, 0, 0)) == 0
     assert rank(C3, (1, 1, 1)) == 2
+
+
+def test_rank_satisfies_riemann_roch():
+    # Baker-Norine: r(D) - r(K - D) = deg D - g + 1 with K(v) = deg(v) - 2;
+    # an oracle-free check of the whole rank pipeline
+    for g in connected_multigraphs(4, 5):
+        canonical = tuple(d - 2 for d in g.degrees)
+        genus = g.genus()
+        for f in divisors_in_box(g, -1, 0):
+            dual = tuple(k - x for k, x in zip(canonical, f))
+            assert rank(g, f) - rank(g, dual) == sum(f) - genus + 1, (g, f)
 
 
 def test_disconnected_rejected():

@@ -14,10 +14,12 @@ from chipfiring import (
 )
 from chipfiring.families import (
     complete_graph,
+    connected_simple_graphs,
     cycle_graph,
     path_graph,
     random_connected_multigraph,
     random_divisor,
+    threshold_assignments,
 )
 from chipfiring.oracles import (
     OracleReport,
@@ -123,18 +125,24 @@ def test_verify_chain_two_vertices_all_agree():
     assert all(r.pipeline == 1 for r in reports if "target-set" in r.quantity and "margin" not in r.quantity)
 
 
-def test_verify_chain_surfaces_threshold_boundary():
-    # a threshold above the source degree breaks the gadget equality; the
-    # verifier reports the disagreement instead of swallowing it
+def test_verify_chain_counts_forced_vertices():
+    # tau(0) = deg(0) + 1 forces vertex 0 into every target set; the gadget
+    # activates it without a chip, so both distances are 0 and the verifier
+    # compares the target-set size with them plus the one forced vertex
     reports = verify_reduction_chain(K2, (2, 1))
+    assert all(r.agree for r in reports)
     by_name = {r.quantity: r for r in reports}
-    agree_names = [r.quantity for r in reports if r.agree]
-    assert by_name["target-set-size/subset-oracle"].agree  # ts itself is fine, = 1
-    assert not by_name["target-set-size/dist-rec"].agree
     assert by_name["target-set-size/dist-rec"].pipeline == 1
-    assert by_name["target-set-size/dist-rec"].oracle == 2
-    assert by_name["dist-rec/dist-nonhalt"].agree  # the apex leg still holds
-    assert "target-set-size/dist-nonhalt" not in agree_names
+    assert by_name["target-set-size/dist-rec"].oracle == 1
+    assert by_name["dist-rec/dist-nonhalt"].pipeline == 0
+    assert by_name["target-set-size/dist-nonhalt"].oracle == 1
+
+
+def test_verify_chain_agrees_on_every_accepted_threshold():
+    # validate_thresholds accepts tau in [0, deg + 1]
+    for g in connected_simple_graphs([2, 3]):
+        for tau in threshold_assignments(g, low=0, high_offset=1):
+            assert all(r.agree for r in verify_reduction_chain(g, tau)), (g, tau)
 
 
 def test_report_json_lines():

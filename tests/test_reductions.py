@@ -108,14 +108,21 @@ class TestWitnessTransport:
         with pytest.raises(WitnessError):
             lift_target_set(inst, (0,))
 
-    def test_lift_stalls_when_threshold_exceeds_degree(self):
-        # thresholds above the source degree break the gadget equality:
-        # the inner vertex then always needs a direct chip
+    def test_forced_vertex_needs_no_seed_chip(self):
+        # tau(0) = deg(0) + 1 forces vertex 0 into every target set; the
+        # gadget gives it threshold 0, so it activates without a chip
         inst = reduce_tss_to_rec(K2, (2, 1))
+        assert inst.forced == 1
         assert min_target_set(K2, (2, 1)).size == 1
-        assert dist_rec(inst.gprime, inst.x).value == 2
+        assert dist_rec(inst.gprime, inst.x).value == 0
+        y = lift_target_set(inst, (0,))
+        assert sum(y) == 0
+        assert is_recurrent(inst.gprime, xplus(inst, y))[0]
+        assert extract_target_set(inst, y).members == (0,)
+        y = list(y)
+        y[inst.outer[0]] = 1
         with pytest.raises(WitnessError):
-            lift_target_set(inst, (0,))
+            extract_target_set(inst, tuple(y))  # a chip a minimum witness never needs
 
     def test_extract_from_outer_witness(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
