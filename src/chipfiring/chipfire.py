@@ -14,6 +14,14 @@ neighbor without bound, impossible because the total chip count is conserved
 by firing.  So an endless game marks every vertex as fired after finitely
 many steps, and the simulation always terminates.  No step cap is imposed.
 
+The game engine `_play` keeps the sorted list of active vertices between
+firings instead of scanning all n: firing v changes the chips of v and its
+neighbors only, so only they can leave or join the list.  The default
+policy fires its head and the seeded policy draws from it with
+`rng.choice`; both see exactly the list a scan would build, so witnesses do
+not depend on how it is kept, and a firing costs O(deg v + number of active
+vertices).  A heap would serve the lowest index but not the seeded draw.
+
 Recurrence is decided by the exactly-once cascade `_cascade`, the one kernel
 behind recurrence, the distance-to-recurrence search and threshold
 activation: each vertex fires at most once, as soon as it is active, and the
@@ -33,6 +41,7 @@ is non-halting when the count is >= 0 and halting otherwise.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
@@ -134,43 +143,49 @@ def _play(degs, nbrs, chips, rng: Random | None = None):
     rng is given.  Returns (halted, order, counts); `chips` ends as the
     stable divisor of a halting game, or as the state at the moment the last
     unfired vertex fired in a non-halting one.
+
+    Firing v changes the chips of v and its neighbors only, so the sorted
+    list of active vertices is updated there instead of rescanned: v leaves
+    it when it drops below its degree, and a neighbor joins when its count
+    crosses its degree.  It is the list a scan would build, for both
+    policies.  Each firing costs O(deg v + active count).
     """
     n = len(chips)
     counts = [0] * n
     order: list[int] = []
     unfired = n
-    while True:
-        if rng is None:
-            for v in range(n):
-                if chips[v] >= degs[v]:
-                    break
-            else:
-                return True, order, counts
-        else:
-            actives = [i for i in range(n) if chips[i] >= degs[i]]
-            if not actives:
-                return True, order, counts
-            v = rng.choice(actives)
-        chips[v] -= degs[v]
+    active = [v for v in range(n) if chips[v] >= degs[v]]
+    while active:
+        v = active[0] if rng is None else rng.choice(active)
+        d = degs[v]
+        chips[v] -= d
+        if chips[v] < d:
+            del active[bisect_left(active, v)]
         for u, m in nbrs[v]:
-            chips[u] += m
+            x = chips[u]
+            chips[u] = x + m
+            if x < degs[u] <= x + m:
+                insort(active, u)
         order.append(v)
         counts[v] += 1
         if counts[v] == 1:
             unfired -= 1
             if unfired == 0:
                 return False, order, counts
+    return True, order, counts
 
 
-def _cascade(nbrs, slack, done) -> list[int]:
+def _cascade(nbrs, slack, done, start) -> list[int]:
     """Fire every vertex not yet done at most once; return the firing order.
 
     A vertex is eligible once its slack is <= 0, and firing v lowers the
     slack of each neighbor by the multiplicity of the edge.  The lowest-
-    indexed eligible vertex fires first.  `slack` and `done` are updated in
-    place.
+    indexed eligible vertex fires first.  `start` lists, in increasing
+    order, every vertex that may be eligible before anything fires; each
+    other vertex must be done or have slack > 0.  `slack` and `done` are
+    updated in place.
     """
-    heap = [v for v, s in enumerate(slack) if s <= 0 and not done[v]]  # sorted, so a heap
+    heap = [v for v in start if slack[v] <= 0 and not done[v]]  # sorted, so a heap
     order = []
     while heap:
         v = heappop(heap)
@@ -211,7 +226,7 @@ def is_recurrent(g: Multigraph, f) -> tuple[bool, GameTrace | None]:
     g.require_connected()
     f = validate_divisor(g, f)
     slack = [d - x for d, x in zip(g.degrees, f)]
-    order = _cascade(g.nbrs, slack, bytearray(g.n))
+    order = _cascade(g.nbrs, slack, bytearray(g.n), range(g.n))
     if len(order) < g.n:
         return False, None
     return True, GameTrace(tuple(order), (1,) * g.n, f)

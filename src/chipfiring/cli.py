@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from random import Random
 
-from . import chipfire, distance, oracles, reductions, tss
+from . import chipfire, distance, multigraph, oracles, reductions, tss
 from .errors import ChipFiringError
 from .multigraph import Multigraph, graph_to_json, graph_to_text, parse_graph
 
@@ -32,8 +32,14 @@ def _read(path: str) -> str:
         raise ChipFiringError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path: str) -> Multigraph:
-    return parse_graph(_read(path))
+def _load_graph(args, path: str, kind: str) -> Multigraph:
+    """Parse a graph file once its declared vertex count has passed the size
+    guard, so that an oversized graph is never built."""
+    text = _read(path)
+    n = multigraph._declared_vertex_count(text)
+    if n is not None:
+        _check_guard(args, n, kind)
+    return parse_graph(text)
 
 
 def _load_divisor(path: str, g: Multigraph):
@@ -44,7 +50,7 @@ def _load_thresholds(path: str, g: Multigraph):
     return tss.validate_thresholds(g, tss.parse_thresholds(_read(path), g.n))
 
 
-def _check_guard(args, g: Multigraph, kind: str) -> None:
+def _check_guard(args, n: int, kind: str) -> None:
     limit = args.max_n if args.max_n is not None else GUARDS[kind]
     if args.max_n is not None and args.max_n > GUARDS[kind]:
         print(
@@ -52,9 +58,9 @@ def _check_guard(args, g: Multigraph, kind: str) -> None:
             "these solvers take exponential time in the worst case",
             file=sys.stderr,
         )
-    if g.n > limit:
+    if n > limit:
         raise ChipFiringError(
-            f"graph has {g.n} vertices, above the size guard {limit} "
+            f"graph has {n} vertices, above the size guard {limit} "
             "(override with --max-n at your own risk)"
         )
 
@@ -81,9 +87,8 @@ def _emit_checked(args, obj: dict, text: str, value, oracle) -> int:
 
 
 def _cmd_rank(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     value = distance.rank(g, f)
     return _emit_checked(
         args, {"rank": value}, f"rank {value}", value,
@@ -92,18 +97,16 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_winnable(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     value = chipfire.is_winnable(g, f)
     _emit(args, {"winnable": value}, "winnable" if value else "not winnable")
     return 0
 
 
 def _cmd_halting(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     rng = Random(args.seed) if args.seed is not None else None
     verdict = chipfire.classify_halting(g, f, rng=rng)
     obj: dict = {"kind": verdict.kind}
@@ -120,9 +123,8 @@ def _cmd_halting(args) -> int:
 
 
 def _cmd_recurrent(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     ok, trace = chipfire.is_recurrent(g, f)
     obj: dict = {"recurrent": ok}
     text = "recurrent" if ok else "not recurrent"
@@ -133,9 +135,8 @@ def _cmd_recurrent(args) -> int:
 
 
 def _dist_command(args, solver, oracle_predicate) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     result = solver(g, f)
     obj = result.to_json()
     if not args.witness:
@@ -173,9 +174,8 @@ def _cmd_dist_nonhalt(args) -> int:
 
 
 def _cmd_tss(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "tss")
     tau = _load_thresholds(args.thresholds, g)
-    _check_guard(args, g, "tss")
     best = tss.min_target_set(g, tau)
     obj: dict = {"size": best.size, "members": list(best.members)}
     text = f"minimum target set size {best.size}: {' '.join(map(str, best.members))}"
@@ -185,9 +185,8 @@ def _cmd_tss(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     g.require_connected()
     rng = Random(args.seed) if args.seed is not None else None
     chips = list(f)
@@ -230,20 +229,17 @@ def _write_bundle(args, g: Multigraph, f, sidecar: dict) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game" if args.kind == "rec-to-nonhalt" else "verify-chain")
     if args.kind == "tss-to-rec":
         tau = _load_thresholds(args.second, g)
-        _check_guard(args, g, "verify-chain")
         inst = reductions.reduce_tss_to_rec(g, tau)
         _write_bundle(args, inst.gprime, inst.x, reductions.bundle_sidecar(inst))
     elif args.kind == "rec-to-nonhalt":
         f = _load_divisor(args.second, g)
-        _check_guard(args, g, "game")
         inst = reductions.reduce_rec_to_nonhalt(g, f, M=args.m, verify_bound=args.m is not None)
         _write_bundle(args, inst.gpp, inst.fpp, reductions.bundle_sidecar(inst))
     else:  # tss-to-nonhalt
         tau = _load_thresholds(args.second, g)
-        _check_guard(args, g, "verify-chain")
         apex_inst, bundle_inst = reductions.reduce_tss_to_nonhalt(g, tau)
         _write_bundle(
             args, apex_inst.gpp, apex_inst.fpp,
@@ -253,9 +249,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "game")
     f = _load_divisor(args.divisor, g)
-    _check_guard(args, g, "game")
     g2, f2 = reductions.subdivide_to_simple(g, f)
     sidecar = {"N": None, "M": None, "roles": list(reductions.subdivision_roles(g))}
     _write_bundle(args, g2, f2, sidecar)
@@ -287,18 +282,16 @@ def _cmd_verify_chain(args) -> int:
             tpath = gpath.with_suffix(".thr")
             if not tpath.exists():
                 raise ChipFiringError(f"missing thresholds file {tpath}")
-            g = _load_graph(str(gpath))
+            g = _load_graph(args, str(gpath), "verify-chain")
             tau = _load_thresholds(str(tpath), g)
-            _check_guard(args, g, "verify-chain")
             if args.format != "json":
                 print(f"# {gpath.name}")
             ok = _verify_one(args, g, tau) and ok
         return 0 if ok else 1
     if not args.second:
         raise ChipFiringError("verify-chain needs a graph and a thresholds file, or a directory")
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph, "verify-chain")
     tau = _load_thresholds(args.second, g)
-    _check_guard(args, g, "verify-chain")
     return 0 if _verify_one(args, g, tau) else 1
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from itertools import compress
 
 from .chipfire import Divisor, _cascade, _play, deg, validate_divisor, winnability_complement
 from .multigraph import Multigraph
@@ -71,13 +71,15 @@ def dist_rec(g: Multigraph, f) -> DistanceResult:
     f = validate_divisor(g, f)
     n = g.n
     nbrs = g.nbrs
+    vertices = range(n)
     slack0 = [d - x for d, x in zip(g.degrees, f)]
     done0 = bytearray(n)
-    count0 = len(_cascade(nbrs, slack0, done0))
+    count0 = len(_cascade(nbrs, slack0, done0, vertices))
     if count0 == n:
         return DistanceResult(0, (0,) * n)
-    # the cascade leaves slack > 0 exactly on the unfired vertices, and a
-    # candidate starts something new only where it covers that slack
+    # the cascade leaves slack > 0 exactly on the unfired vertices, so a
+    # candidate starts something new only where it covers that slack, and
+    # only its support can hold an eligible vertex before anything fires
     unfired = [(v, s) for v, s in enumerate(slack0) if s > 0]
     limit = upper_bound_to_recurrent(g, f)
     for k in range(1, limit + 1):
@@ -87,8 +89,11 @@ def dist_rec(g: Multigraph, f) -> DistanceResult:
                     break
             else:
                 continue
-            slack = list(map(sub, slack0, cand))
-            if count0 + len(_cascade(nbrs, slack, bytearray(done0))) == n:
+            slack = slack0.copy()
+            support = list(compress(vertices, cand))
+            for v in support:
+                slack[v] -= cand[v]
+            if count0 + len(_cascade(nbrs, slack, bytearray(done0), support)) == n:
                 return DistanceResult(k, cand)
     raise AssertionError("unreachable: the pointwise deficit filler is recurrent")
 

@@ -178,6 +178,27 @@ def parse_graph(text: str) -> Multigraph:
         raise FormatError(str(exc)) from None
 
 
+def _declared_vertex_count(text: str) -> int | None:
+    """The vertex count a graph file declares, read without building the
+    graph: the first line of the text format, or "n" of the JSON format.
+    None when the file declares none; parse_graph then reports why."""
+    if text.lstrip().startswith("{"):
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            return None
+        n = obj.get("n") if isinstance(obj, dict) else None
+        return n if isinstance(n, int) else None
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            try:
+                return int(ln)
+            except ValueError:
+                return None
+    return None
+
+
 def graph_from_json(obj: object) -> Multigraph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise FormatError('JSON graph must be an object with "n" and "edges"')

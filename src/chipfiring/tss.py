@@ -60,7 +60,7 @@ def _activate(nbrs, tau, seed) -> list[int]:
     slack = list(tau)
     for v in seed:
         slack[v] = 0
-    return _cascade(nbrs, slack, bytearray(len(slack)))
+    return _cascade(nbrs, slack, bytearray(len(slack)), range(len(slack)))
 
 
 def activation_closure(g: Multigraph, tau, seed) -> frozenset[int]:

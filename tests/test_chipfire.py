@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from chipfiring import (
     DisconnectedGraphError,
+    GameTrace,
     HALTING,
+    HaltVerdict,
     IllegalFiringError,
     Multigraph,
     NON_HALTING,
@@ -27,6 +29,7 @@ from chipfiring.families import (
     random_divisor,
     two_vertex_bundle,
 )
+from chipfiring.chipfire import _play
 from chipfiring.oracles import recurrent_permutation
 
 K2 = Multigraph(2, [(0, 1, 1)])
@@ -217,3 +220,69 @@ def test_witnesses_fire_lowest_eligible_vertex(gf):
     witness = classify_halting(g, f).witness
     if witness is not None:
         assert _replay_lowest_first(g, f, witness.firing_order, once=False) == witness.final
+
+
+def _seeded_reference(g, f, rng):
+    """The seeded policy written out: at every step, scan for the sorted list
+    of active vertices and fire rng.choice of it, until none is active or
+    every vertex has fired."""
+    chips = list(f)
+    counts = [0] * g.n
+    order = []
+    while True:
+        active = [v for v in range(g.n) if chips[v] >= g.degrees[v]]
+        if not active:
+            return HaltVerdict(HALTING, stable=tuple(chips))
+        v = rng.choice(active)
+        chips[v] -= g.degrees[v]
+        for u, m in g.nbrs[v]:
+            chips[u] += m
+        order.append(v)
+        counts[v] += 1
+        if all(counts):
+            return HaltVerdict(
+                NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), tuple(chips))
+            )
+
+
+@given(graph_and_divisor, st.integers(min_value=0, max_value=2**32 - 1))
+def test_seeded_policy_draws_from_sorted_active_list(gf, policy_seed):
+    g, f = gf
+    expected = _seeded_reference(g, f, Random(policy_seed))
+    assert classify_halting(g, f, rng=Random(policy_seed)) == expected
+
+
+def _board(n):
+    # a sparse multigraph: an n-cycle plus a chord of multiplicity 1-3 from
+    # every third vertex
+    edges = [(v, (v + 1) % n, 1) for v in range(n)]
+    edges += [(v, (7 * v + 5) % n, 1 + v % 3) for v in range(0, n, 3) if (7 * v + 5) % n != v]
+    return Multigraph(n, edges)
+
+
+def test_large_board_games():
+    g = _board(240)
+    # degree - 1 everywhere is maximal stable; three chips over it make a
+    # non-halting game of ~1,900 firings, with many vertices active at once
+    f = [d - 1 for d in g.degrees]
+    for v in (0, 1, 2):
+        f[v] += 1
+    witness = classify_halting(g, f).witness
+    assert witness is not None and len(witness.firing_order) > 1000
+    assert _replay_lowest_first(g, f, witness.firing_order, once=False) == witness.final
+    assert classify_halting(g, f, rng=Random(3)) == _seeded_reference(g, f, Random(3))
+
+    g = _board(600)
+    # one chip under maximal stable on every third vertex, and three
+    # neighbouring vertices hold three times their degree more: a halting
+    # game of ~700 firings
+    f = [d - 1 - (v % 3 == 0) for v, d in enumerate(g.degrees)]
+    for v in (5, 6, 7):
+        f[v] += 3 * g.degrees[v]
+    verdict = classify_halting(g, f)
+    assert verdict.kind == HALTING
+    halted, order, _counts = _play(g.degrees, g.nbrs, list(f))
+    assert halted and len(order) > 500
+    assert _replay_lowest_first(g, f, order, once=False) == verdict.stable
+    assert all(x < d for x, d in zip(verdict.stable, g.degrees))
+    assert classify_halting(g, f, rng=Random(3)) == verdict

@@ -240,21 +240,49 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
-    (tmp_path / "big.graph").write_text("30000\n0 1 1\n")
-    (tmp_path / "big.div").write_text(" ".join(["0"] * 30000) + "\n")
+def _run_capped(cwd, argv, timeout):
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "chipfiring.cli", "halting", "big.graph", "big.div"],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-m", "chipfiring.cli", *argv],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=_cap_address_space,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
+    (tmp_path / "big.graph").write_text("30000\n0 1 1\n")
+    (tmp_path / "big.div").write_text(" ".join(["0"] * 30000) + "\n")
+    proc = _run_capped(tmp_path, ["halting", "big.graph", "big.div"], timeout=60)
     assert (proc.returncode, proc.stderr) == (
         2,
         "error: graph has 30000 vertices, above the size guard 16 "
+        "(override with --max-n at your own risk)\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    ["10000000\n0 1 1\n", '{"n": 10000000, "edges": [[0, 1, 1]]}\n'],
+    ids=["text", "json"],
+)
+@pytest.mark.parametrize(
+    "argv, guard",
+    [(("halting", "big.graph", "small.div"), 16), (("tss", "big.graph", "small.thr"), 20)],
+    ids=["halting", "tss"],
+)
+def test_size_guard_precedes_graph_build_and_second_file(tmp_path, graph, argv, guard):
+    # the guard reads only the declared vertex count: it neither builds the
+    # 10^7-vertex graph nor reads the two-entry divisor or threshold file
+    (tmp_path / "big.graph").write_text(graph)
+    (tmp_path / "small.div").write_text("0 0\n")
+    (tmp_path / "small.thr").write_text("1 1\n")
+    proc = _run_capped(tmp_path, argv, timeout=5)
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        f"error: graph has 10000000 vertices, above the size guard {guard} "
         "(override with --max-n at your own risk)\n",
     )
