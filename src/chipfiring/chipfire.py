@@ -33,6 +33,14 @@ that order outside A has received at least as many chips after greedy's run
 greedy could not have stalled.  The permutation-search oracle cross-checks
 this at small scale.
 
+The least top-up search `_least_top_up` pays chips into that cascade until
+it fires every vertex: distance to recurrence, or minimum target set
+selection when a payment is a seed of cost 1.  Deepening the budget, it
+tries the vertices in index order, largest payment first and none last, so
+it meets least-cost vectors in descending lexicographic order.  It pays no
+fired vertex and no vertex beyond its slack: by the exchange argument above
+the cascade completes without those chips, so no least-cost vector has them.
+
 A single degree-0 vertex is a degenerate arena: it is active whenever its
 chip count is nonnegative and firing it changes nothing, so such a divisor
 is non-halting when the count is >= 0 and halting otherwise.
@@ -44,6 +52,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 from random import Random
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
@@ -60,7 +69,7 @@ def validate_divisor(g: Multigraph, f) -> Divisor:
     if len(f) != g.n:
         raise GraphStructureError(f"divisor has {len(f)} entries for a graph on {g.n} vertices")
     for x in f:
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise GraphStructureError(f"divisor entries must be integers, got {x!r}")
     return f
 
@@ -198,6 +207,41 @@ def _cascade(nbrs, slack, done, start) -> list[int]:
     return order
 
 
+def _least_top_up(nbrs, slack, unit) -> tuple[int, tuple[int, ...]]:
+    """Least cost, and first least-cost vector in descending lexicographic
+    order, of payments after which `_cascade` fires every vertex: p chips
+    lower a slack by p at cost p, or with `unit` a seed zeroes it at cost 1."""
+    n = len(slack)
+    slack, done, pay = list(slack), bytearray(n), [0] * n
+    left = n - len(_cascade(nbrs, slack, done, range(n)))
+    budget = next(k for k in count() if _top_up(nbrs, slack, done, left, 0, k, unit, pay))
+    return budget, tuple(pay)
+
+
+def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
+    """Whether payments of total at most `budget` on the vertices >= start
+    complete a cascade-closed state with `left` vertices unfired; the first
+    such vector, largest payment first, is written to `pay`."""
+    if not left or not budget:
+        return not left
+    for i in range(start, len(slack)):
+        if done[i]:
+            continue
+        s = slack[i]
+        for p in (s,) if unit else range(min(s, budget), 0, -1):
+            cost = 1 if unit else p
+            trial = slack.copy()
+            trial[i] = s - p
+            fired, rest = done, left
+            if p == s:  # i fires; a smaller payment fires nothing
+                fired = bytearray(done)
+                rest -= len(_cascade(nbrs, trial, fired, (i,)))
+            if _top_up(nbrs, trial, fired, rest, i + 1, budget - cost, unit, pay):
+                pay[i] = cost
+                return True
+    return False
+
+
 def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict:
     """Decide whether the game from f halts.
 
@@ -258,7 +302,7 @@ def parse_divisor(text: str, n: int | None = None) -> Divisor:
         if not isinstance(obj, dict) or "chips" not in obj or not isinstance(obj["chips"], list):
             raise FormatError('JSON divisor must be an object with a "chips" list')
         values = obj["chips"]
-        if not all(isinstance(x, int) for x in values):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
             raise FormatError("divisor entries must be integers")
         f = tuple(values)
     else:

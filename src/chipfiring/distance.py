@@ -1,36 +1,22 @@
 """Exact solvers for distance-to-non-halting, distance-to-recurrent, and rank.
 
-Both distance solvers enumerate effective top-up divisors g by increasing
-degree and, within a degree, in placement order (chips on the lowest vertex
-ids first, i.e. count tuples in descending lexicographic order); the first
-hit wins, which makes witnesses deterministic.  The solvers are exponential
-by design; the only accelerations are evaluation shortcuts that provably
-return the same verdict per candidate:
-
-* non-halting checks run from the stabilization of f rather than from f
-  itself, since adding an effective g commutes with stabilizing (play the
-  stabilizing sequence first, it stays legal with extra chips on the board);
-* recurrence checks continue the exactly-once cascade of f instead of
-  recomputing it, since extra chips never deactivate anything and the
-  reachable fired set does not depend on the firing order.
-
-Candidates that cannot activate any new vertex are rejected without
-simulation; for recurrence, the prefilter reads the slack (chips still
-missing) that the cascade of f leaves on each unfired vertex.  Equality with
-direct per-candidate evaluation is pinned by the test suite.
-
-Termination: adding max(0, degree(v) - f(v)) chips to every vertex makes the
-divisor pointwise at least the degree vector, which is recurrent and hence
-non-halting, so that total is an upper bound for both distances.
+Both distances are the least degree of an effective top-up g; the witness
+is the first such g in placement order (chips on the lowest vertex ids
+first: descending lexicographic order), so witnesses are deterministic.
+`dist_rec` is the least top-up search `chipfire._least_top_up`.  Only
+`dist_nonhalt`, and `rank` through it, enumerates every candidate of each
+degree, playing each game from the stabilization of f (adding an effective
+g commutes with stabilizing) and skipping candidates that activate nothing.
+Both are exponential by design.  Raising every vertex to its degree reaches
+a recurrent, hence non-halting, divisor, which bounds both distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
-from .chipfire import Divisor, _cascade, _play, deg, validate_divisor, winnability_complement
+from .chipfire import Divisor, _least_top_up, _play, deg, validate_divisor, winnability_complement
 from .multigraph import Multigraph
 
 
@@ -69,33 +55,8 @@ def dist_rec(g: Multigraph, f) -> DistanceResult:
     """Minimum degree of an effective g such that f + g is recurrent."""
     g.require_connected()
     f = validate_divisor(g, f)
-    n = g.n
-    nbrs = g.nbrs
-    vertices = range(n)
-    slack0 = [d - x for d, x in zip(g.degrees, f)]
-    done0 = bytearray(n)
-    count0 = len(_cascade(nbrs, slack0, done0, vertices))
-    if count0 == n:
-        return DistanceResult(0, (0,) * n)
-    # the cascade leaves slack > 0 exactly on the unfired vertices, so a
-    # candidate starts something new only where it covers that slack, and
-    # only its support can hold an eligible vertex before anything fires
-    unfired = [(v, s) for v, s in enumerate(slack0) if s > 0]
-    limit = upper_bound_to_recurrent(g, f)
-    for k in range(1, limit + 1):
-        for cand in effective_divisors(k, n):
-            for v, s in unfired:
-                if cand[v] >= s:
-                    break
-            else:
-                continue
-            slack = slack0.copy()
-            support = list(compress(vertices, cand))
-            for v in support:
-                slack[v] -= cand[v]
-            if count0 + len(_cascade(nbrs, slack, bytearray(done0), support)) == n:
-                return DistanceResult(k, cand)
-    raise AssertionError("unreachable: the pointwise deficit filler is recurrent")
+    slack = [d - x for d, x in zip(g.degrees, f)]
+    return DistanceResult(*_least_top_up(g.nbrs, slack, False))
 
 
 def dist_nonhalt(g: Multigraph, f) -> DistanceResult:

@@ -34,7 +34,7 @@ class Multigraph:
     __slots__ = ("n", "degrees", "nbrs", "edge_count")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphStructureError(f"vertex count must be a positive integer, got {n!r}")
         adj = [{} for _ in range(n)]
         for item in edges:

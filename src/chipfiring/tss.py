@@ -5,18 +5,17 @@ closure is the least fixed point of that monotone rule, so round-based and
 asynchronous schedules agree.  On a simple graph this is the exactly-once
 chip-firing cascade with slack tau: every active neighbor sends one chip,
 the equivalence the bundle gadget encodes, so the closure runs on the game
-engine's `_cascade`.  Thresholds live on simple graphs and are capped at
-degree + 1: a vertex with threshold degree + 1 can never be activated by
-its neighbors and must belong to every target set, and any larger threshold
-would mean the same thing.
+engine's `_cascade` and the minimum on its least top-up search.  Thresholds
+live on simple graphs and are capped at degree + 1: a vertex with threshold
+degree + 1 can never be activated by its neighbors and must belong to every
+target set, and any larger threshold would mean the same thing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .chipfire import _cascade
+from .chipfire import _cascade, _least_top_up
 from .errors import FormatError, GraphStructureError, InvalidVertexError
 from .multigraph import Multigraph
 
@@ -29,7 +28,7 @@ def validate_thresholds(g: Multigraph, tau) -> Thresholds:
     if len(tau) != g.n:
         raise GraphStructureError(f"threshold vector has {len(tau)} entries for {g.n} vertices")
     for v, t in enumerate(tau):
-        if not isinstance(t, int) or t < 0:
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise GraphStructureError(f"threshold at vertex {v} must be a nonnegative integer, got {t!r}")
         if t > g.degrees[v] + 1:
             raise GraphStructureError(
@@ -78,17 +77,13 @@ def is_target_set(g: Multigraph, tau, seed) -> bool:
 
 
 def min_target_set(g: Multigraph, tau) -> TargetSet:
-    """Exact minimum by subset enumeration in increasing cardinality.
+    """Exact minimum by the least top-up search, each seed costing 1.
 
-    The full vertex set always works, so the search terminates; among minimum
-    solutions the lexicographically least id tuple is returned.
-    """
-    tau = validate_thresholds(g, tau)
-    for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
-            if len(_activate(g.nbrs, tau, subset)) == g.n:
-                return TargetSet(subset)
-    raise AssertionError("unreachable: the full vertex set is a target set")
+    Among minimum solutions the lexicographically least id tuple is returned:
+    at equal size it is the greatest 0/1 seed vector, which the search meets
+    first."""
+    seeds = _least_top_up(g.nbrs, validate_thresholds(g, tau), True)[1]
+    return TargetSet(tuple(v for v, p in enumerate(seeds) if p))
 
 
 def greedy_target_set(g: Multigraph, tau) -> TargetSet:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from chipfiring import (
     DisconnectedGraphError,
     GameTrace,
+    GraphStructureError,
     HALTING,
     HaltVerdict,
     IllegalFiringError,
@@ -105,6 +106,11 @@ def test_is_winnable_examples():
 def test_winnability_complement():
     assert winnability_complement(C3, (-1, 1, 0)) == (2, 0, 1)
     assert classify_halting(C3, (2, 0, 1)).kind == NON_HALTING
+
+
+def test_bool_chip_counts_rejected():
+    with pytest.raises(GraphStructureError):
+        classify_halting(K2, (False, 0))
 
 
 def test_fire_sequence_examples():

@@ -6,6 +6,7 @@ codes 0 (success), 1 (a cross-check disagreed) and 2 (input error) keep
 their meaning.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import cli, oracles
+from chipfiring import cli, is_recurrent, oracles, reduce_tss_to_rec
+from chipfiring.chipfire import divisor_to_text
+from chipfiring.families import complete_graph
+from chipfiring.multigraph import graph_to_text
 
 FILES = {
     "c3.graph": "3\n0 1 1\n1 2 1\n0 2 1\n",
@@ -35,6 +39,8 @@ FILES = {
     "p4m.div": "3 0 0 1\n",
     "zero2.div": "0 0\n",
     "bad.div": "1 x 0\n",
+    "bool.div": '{"chips": [false, false]}\n',
+    "bool.graph": '{"n": true, "edges": []}\n',
     "c3.thr": "1 1 1\n",
     "k2.thr": "1 1\n",
 }
@@ -227,8 +233,16 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
             ("rank", "c3.graph", "bad.div", *J),
             "error: divisor line must contain integers, got '1 x 0'\n",
         ),
+        (
+            ("halting", "k2.graph", "bool.div", *J),
+            "error: divisor entries must be integers\n",
+        ),
+        (
+            ("halting", "bool.graph", "zero2.div", *J),
+            "error: vertex count must be a positive integer, got True\n",
+        ),
     ],
-    ids=["disconnected", "malformed-divisor"],
+    ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count"],
 )
 def test_input_errors_exit_2(run, argv, stderr):
     assert run(argv) == (2, "", stderr)
@@ -286,3 +300,16 @@ def test_size_guard_precedes_graph_build_and_second_file(tmp_path, graph, argv, 
         f"error: graph has 10000000 vertices, above the size guard {guard} "
         "(override with --max-n at your own risk)\n",
     )
+
+
+def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):
+    # 48 vertices; enumerating every top-up of degree <= 5 exhausts the cap
+    inst = reduce_tss_to_rec(complete_graph(6), (5,) * 6)
+    (tmp_path / "k6.graph").write_text(graph_to_text(inst.gprime))
+    (tmp_path / "k6.div").write_text(divisor_to_text(inst.x))
+    argv = ["dist-rec", "k6.graph", "k6.div", "--max-n", "48", *J, "--witness"]
+    proc = _run_capped(tmp_path, argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["value"] == 5 == sum(result["witness"])
+    assert is_recurrent(inst.gprime, [a + b for a, b in zip(inst.x, result["witness"])])[0]

@@ -18,12 +18,15 @@ from chipfiring import (
 from chipfiring.distance import DistanceResult, effective_divisors
 from chipfiring.families import (
     connected_multigraphs,
+    connected_simple_graphs,
     cycle_graph,
     divisors_in_box,
     random_connected_multigraph,
     random_divisor,
+    threshold_assignments,
 )
 from chipfiring.oracles import rank_definitional
+from chipfiring.reductions import reduce_tss_to_rec
 
 K2 = Multigraph(2, [(0, 1, 1)])
 C3 = cycle_graph(3)
@@ -164,6 +167,16 @@ def test_solvers_match_direct_enumeration():
         assert dist_nonhalt(g, f) == _naive_dist(
             g, f, lambda h: not classify_halting(g, h).is_halting
         )
+
+
+def test_dist_rec_matches_direct_enumeration_on_bundle_gadgets():
+    # 109 gadgets on 8-15 vertices, every 2-3 vertex source and threshold in
+    # [0, deg + 1]: bundles of N parallel edges and payments below the slack
+    for src in connected_simple_graphs([2, 3]):
+        for tau in threshold_assignments(src, low=0, high_offset=1):
+            inst = reduce_tss_to_rec(src, tau)
+            gp, x = inst.gprime, inst.x
+            assert dist_rec(gp, x) == _naive_dist(gp, x, lambda h: is_recurrent(gp, h)[0]), tau
 
 
 def test_rank_matches_definitional_sample():

@@ -95,6 +95,13 @@ def test_bad_multiplicity_rejected():
         Multigraph(2, [(0, 1, -2)])
 
 
+def test_bool_vertex_count_rejected():
+    # a bool is an int in Python, but True is no vertex count: the graph
+    # would print as "True" and could not be parsed back
+    with pytest.raises(GraphStructureError):
+        Multigraph(True)
+
+
 def test_repeated_pairs_accumulate():
     g = Multigraph(2, [(0, 1, 1), (1, 0, 2)])
     assert g.multiplicity(0, 1) == 3

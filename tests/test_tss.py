@@ -88,6 +88,8 @@ def test_threshold_validation():
         min_target_set(K2, (-1, 1))
     with pytest.raises(GraphStructureError):
         min_target_set(K2, (1,))
+    with pytest.raises(GraphStructureError):
+        min_target_set(K2, (True, 1))
 
 
 small_instance = st.integers(min_value=0, max_value=5000).map(
@@ -131,6 +133,32 @@ def test_minimum_truly_minimal_exhaustive():
             if best.size:
                 for smaller in combinations(range(g.n), best.size - 1):
                     assert not is_target_set(g, tau, smaller)
+
+
+def _activates_all(g, tau, seed):
+    # round-based threshold activation, written independently of the cascade
+    active = set(seed)
+    while True:
+        joining = {
+            v for v in range(g.n)
+            if v not in active and sum(1 for u, _m in g.neighbors(v) if u in active) >= tau[v]
+        }
+        if not joining:
+            return len(active) == g.n
+        active |= joining
+
+
+def test_min_target_set_is_first_subset_of_least_size_exhaustive():
+    # the tie-break: the first combinations() subset at the least size
+    for g in connected_simple_graphs([2, 3, 4]):
+        for tau in threshold_assignments(g, low=0, high_offset=1):
+            first = next(
+                subset
+                for size in range(g.n + 1)
+                for subset in combinations(range(g.n), size)
+                if _activates_all(g, tau, subset)
+            )
+            assert min_target_set(g, tau).members == first, (g.edges(), tau)
 
 
 def test_cycle_needs_alternating_seeds():
