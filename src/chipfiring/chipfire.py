@@ -40,6 +40,13 @@ tries the vertices in index order, largest payment first and none last, so
 it meets least-cost vectors in descending lexicographic order.  It pays no
 fired vertex and no vertex beyond its slack: by the exchange argument above
 the cascade completes without those chips, so no least-cost vector has them.
+It skips only what cannot complete within the budget, so it finds the same
+vector: slack above the degree is paid up front (a vertex receives at most
+its degree); the budget starts at a lower bound (each edge among unfired
+vertices delivers once, payments cover the rest, a seed at most its slack);
+a payment short of a slack, which fires nothing, needs budget left to pay a
+later vertex in full; and an unseeded vertex must fire once all later
+vertices are seeded.
 
 A single degree-0 vertex is a degenerate arena: it is active whenever its
 chip count is nonnegative and firing it changes nothing, so such a divisor
@@ -52,7 +59,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, chain, count
 from random import Random
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
@@ -69,7 +76,8 @@ def validate_divisor(g: Multigraph, f) -> Divisor:
     if len(f) != g.n:
         raise GraphStructureError(f"divisor has {len(f)} entries for a graph on {g.n} vertices")
     for x in f:
-        if not isinstance(x, int) or isinstance(x, bool):
+        # a bool is an int subclass: refuse it, and pass plain ints at once
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise GraphStructureError(f"divisor entries must be integers, got {x!r}")
     return f
 
@@ -207,28 +215,49 @@ def _cascade(nbrs, slack, done, start) -> list[int]:
     return order
 
 
-def _least_top_up(nbrs, slack, unit) -> tuple[int, tuple[int, ...]]:
+def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
     """Least cost, and first least-cost vector in descending lexicographic
     order, of payments after which `_cascade` fires every vertex: p chips
     lower a slack by p at cost p, or with `unit` a seed zeroes it at cost 1."""
     n = len(slack)
     slack, done, pay = list(slack), bytearray(n), [0] * n
+    for v, d in enumerate(degs):
+        if slack[v] > d:  # short of more than its neighbours send: pay the rest
+            pay[v], slack[v] = (1, 0) if unit else (slack[v] - d, d)
     left = n - len(_cascade(nbrs, slack, done, range(n)))
-    budget = next(k for k in count() if _top_up(nbrs, slack, done, left, 0, k, unit, pay))
-    return budget, tuple(pay)
+    if left:
+        unfired = [v for v in range(n) if not done[v]]
+        # each edge among the unfired delivers once, payments cover the rest
+        # of their slack, a seed at most its vertex's slack
+        edges = sum(m for v in unfired for u, m in nbrs[v] if u < v and not done[u])
+        lower = sum(slack[v] for v in unfired) - edges
+        if unit:
+            covers = accumulate(sorted((slack[v] for v in unfired), reverse=True), initial=0)
+            lower = next(k for k, c in enumerate(covers) if c >= lower)
+        next(k for k in count(max(lower, 1)) if _top_up(nbrs, slack, done, left, 0, k, unit, pay))
+    return sum(pay), tuple(pay)
 
 
 def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
     """Whether payments of total at most `budget` on the vertices >= start
     complete a cascade-closed state with `left` vertices unfired; the first
-    such vector, largest payment first, is written to `pay`."""
+    such vector, largest payment first, is added to `pay`."""
     if not left or not budget:
         return not left
-    for i in range(start, len(slack)):
+    n = len(slack)
+    if not unit:
+        # nothing fires unless some vertex is paid its whole slack
+        least = min((s for s, d in zip(slack[start:], done[start:]) if not d), default=budget + 1)
+        if least > budget:
+            return False
+    for i in range(start, n):
         if done[i]:
             continue
         s = slack[i]
-        for p in (s,) if unit else range(min(s, budget), 0, -1):
+        # a payment short of s fires nothing: it must leave room to pay a
+        # later vertex in full
+        short = () if unit else range(min(s - 1, budget - least), 0, -1)
+        for p in chain((s,) if unit or s <= budget else (), short):
             cost = 1 if unit else p
             trial = slack.copy()
             trial[i] = s - p
@@ -237,8 +266,12 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
                 fired = bytearray(done)
                 rest -= len(_cascade(nbrs, trial, fired, (i,)))
             if _top_up(nbrs, trial, fired, rest, i + 1, budget - cost, unit, pay):
-                pay[i] = cost
+                pay[i] += cost
                 return True
+        if unit:  # i stays unseeded: seeding every later vertex must fire it
+            trial = slack[: i + 1] + [0] * (n - i - 1)
+            if len(_cascade(nbrs, trial, bytearray(done), range(i + 1, n))) < left:
+                return False
     return False
 
 

@@ -56,7 +56,7 @@ def dist_rec(g: Multigraph, f) -> DistanceResult:
     g.require_connected()
     f = validate_divisor(g, f)
     slack = [d - x for d, x in zip(g.degrees, f)]
-    return DistanceResult(*_least_top_up(g.nbrs, slack, False))
+    return DistanceResult(*_least_top_up(g.nbrs, g.degrees, slack, False))
 
 
 def dist_nonhalt(g: Multigraph, f) -> DistanceResult:

@@ -28,7 +28,7 @@ def validate_thresholds(g: Multigraph, tau) -> Thresholds:
     if len(tau) != g.n:
         raise GraphStructureError(f"threshold vector has {len(tau)} entries for {g.n} vertices")
     for v, t in enumerate(tau):
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if (type(t) is not int and (isinstance(t, bool) or not isinstance(t, int))) or t < 0:
             raise GraphStructureError(f"threshold at vertex {v} must be a nonnegative integer, got {t!r}")
         if t > g.degrees[v] + 1:
             raise GraphStructureError(
@@ -82,7 +82,7 @@ def min_target_set(g: Multigraph, tau) -> TargetSet:
     Among minimum solutions the lexicographically least id tuple is returned:
     at equal size it is the greatest 0/1 seed vector, which the search meets
     first."""
-    seeds = _least_top_up(g.nbrs, validate_thresholds(g, tau), True)[1]
+    seeds = _least_top_up(g.nbrs, g.degrees, validate_thresholds(g, tau), True)[1]
     return TargetSet(tuple(v for v, p in enumerate(seeds) if p))
 
 

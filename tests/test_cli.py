@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import cli, is_recurrent, oracles, reduce_tss_to_rec
+from chipfiring import Multigraph, cli, is_recurrent, oracles, reduce_tss_to_rec
 from chipfiring.chipfire import divisor_to_text
-from chipfiring.families import complete_graph
+from chipfiring.families import complete_graph, cycle_graph
 from chipfiring.multigraph import graph_to_text
 
 FILES = {
@@ -300,6 +300,45 @@ def test_size_guard_precedes_graph_build_and_second_file(tmp_path, graph, argv, 
         f"error: graph has 10000000 vertices, above the size guard {guard} "
         "(override with --max-n at your own risk)\n",
     )
+
+
+C16, C20 = graph_to_text(cycle_graph(16)), graph_to_text(cycle_graph(20))
+# the circulant graph on 20 vertices with jumps 1, 2 and 9, every degree 6
+CIRC20 = graph_to_text(Multigraph(20, [(v, (v + j) % 20, 1) for v in range(20) for j in (1, 2, 9)]))
+
+
+@pytest.mark.parametrize(
+    "argv, graph, vector, out",
+    [
+        # 2001 chips short on two vertices
+        (("dist-rec", *J, "--witness"), FILES["k2.graph"], "-1000 -1000\n",
+         '{"value": 2001, "witness": [1001, 1000]}\n'),
+        # 500 chips short of firing either end of a 1000-edge bundle
+        (("dist-rec", *J, "--witness"), "2\n0 1 1000\n", "500 500\n",
+         '{"value": 500, "witness": [500, 0]}\n'),
+        # 300 chips short on a vertex hanging off a hub by 21 edges
+        (("dist-rec", *J, "--witness"), "4\n0 1 20\n0 2 21\n0 3 31\n1 3 2\n", "-15 -9 -300 10\n",
+         '{"value": 388, "witness": [56, 9, 300, 23]}\n'),
+        # two bundles of 100 parallel edges
+        (("dist-rec", *J, "--witness"), "3\n0 1 100\n1 2 100\n", "0 0 0\n",
+         '{"value": 200, "witness": [100, 100, 0]}\n'),
+        (("dist-rec", *J, "--witness"), C16, "0 " * 15 + "0\n",
+         '{"value": 16, "witness": [2, ' + "1, " * 14 + '0]}\n'),
+        # every threshold above the degree: all vertices are forced seeds
+        (("tss", *J), C20, "3 " * 19 + "3\n",
+         '{"members": [' + ", ".join(map(str, range(20))) + '], "size": 20}\n'),
+        # thresholds at the degree: the unseeded vertices are independent
+        (("tss", *J), CIRC20, "6 " * 19 + "6\n",
+         '{"members": [0, 1, 2, 4, 5, 7, 8, 10, 11, 12, 14, 15, 17, 18], "size": 14}\n'),
+    ],
+    ids=["k2-deficit", "bundle-surplus", "hub-deficit", "bundles", "c16", "c20-forced", "circulant-independent"],
+)
+def test_concentrated_inputs_answer_within_seconds(tmp_path, argv, graph, vector, out):
+    # far beyond what enumerating candidates or subsets finishes in time
+    (tmp_path / "g.graph").write_text(graph)
+    (tmp_path / "x.txt").write_text(vector)
+    proc = _run_capped(tmp_path, [argv[0], "g.graph", "x.txt", *argv[1:]], timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):

@@ -169,6 +169,20 @@ def test_solvers_match_direct_enumeration():
         )
 
 
+def test_dist_rec_matches_direct_enumeration_on_heavy_edges():
+    # slacks far above 1: up-front payments, partial payments and the budget
+    # bounds of the search all come into play
+    rng = Random(7)
+    for _ in range(120):
+        n = rng.randint(2, 3)
+        edges = [(u, v, rng.randint(1, 6)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.8]
+        g = Multigraph(n, edges)
+        if not g.is_connected():
+            continue
+        f = tuple(rng.randint(-6, 4) for _ in range(n))
+        assert dist_rec(g, f) == _naive_dist(g, f, lambda h: is_recurrent(g, h)[0]), (edges, f)
+
+
 def test_dist_rec_matches_direct_enumeration_on_bundle_gadgets():
     # 109 gadgets on 8-15 vertices, every 2-3 vertex source and threshold in
     # [0, deg + 1]: bundles of N parallel edges and payments below the slack
