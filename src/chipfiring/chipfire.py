@@ -48,6 +48,23 @@ a payment short of a slack, which fires nothing, needs budget left to pay a
 later vertex in full; and an unseeded vertex must fire once all later
 vertices are seeded.
 
+Winnability is decided by a game whose length does not grow with the chip
+count.  Firing keeps the degree, so a negative degree is never winnable,
+and Riemann-Roch (Baker-Norine 2007) gives r(f) >= deg f - g with genus
+g = |E| - n + 1, so a degree of at least g always is.  In between, the
+verdict is the halting classification of the complement degree - 1 - f,
+which depends only on the linear equivalence class of f, so f may first be
+replaced by f - L x for any integer vector x.  `_reduce` takes x as the
+floor of an approximate solution of the Laplacian system grounded at vertex
+0 (Baker-Shokrieh 2013), found by conjugate gradients over the adjacency
+lists: were the solution exact, the residual off vertex 0 would be L applied
+to fractional parts in [0, 1), smaller than each degree, and the error of
+a float solution is worked off by solving again on the exact integer
+residual, right-hand sides beyond float range shifted into it first.  The
+floats only choose x: every chip update is exact integer arithmetic and
+every integer x gives an equivalent divisor, so rounding can cost time but
+never change the verdict.
+
 A single degree-0 vertex is a degenerate arena: it is active whenever its
 chip count is nonnegative and firing it changes nothing, so such a divisor
 is non-halting when the count is >= 0 and halting otherwise.
@@ -60,6 +77,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, chain, count
+from operator import mul
 from random import Random
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
@@ -315,13 +333,87 @@ def winnability_complement(g: Multigraph, f) -> Divisor:
     return tuple(d - 1 - x for d, x in zip(g.degrees, f))
 
 
+def _grounded_solve(degs, nbrs, b) -> list[float]:
+    """Approximate y with y[0] = 0 and (L y)[v] = b[v] for every v > 0, by
+    conjugate gradients preconditioned with the degrees; O(|E|) per step.
+
+    Stops once the residual r has shrunk by a factor of 1e12, about what
+    floats resolve, or once the sum of r[v]**2 / degree(v) is below 1e-4:
+    then each entry of r is a small fraction of a chip, far below the
+    degree that taking the floor may add."""
+    n = len(b)
+    arcs = [(v, u, float(m)) for v, row in enumerate(nbrs) if v for u, m in row if u]
+    inv = [1.0 / d for d in degs]
+    y = [0.0] * n
+    r = [0.0, *b[1:]]
+    p = z = list(map(mul, r, inv))
+    rz = sum(map(mul, r, z))
+    stop = max(rz * 1e-24, 1e-4)
+    for _ in range(2 * n):
+        if rz <= stop:
+            break
+        q = list(map(mul, degs, p))
+        for v, u, m in arcs:
+            q[v] -= m * p[u]
+        step = rz / sum(map(mul, p, q))
+        y = [a + step * c for a, c in zip(y, p)]
+        r = [a - step * c for a, c in zip(r, q)]
+        z = list(map(mul, r, inv))
+        rz, old = sum(map(mul, r, z)), rz
+        beta = rz / old
+        p = [a + beta * c for a, c in zip(z, p)]
+    return y
+
+
+def _reduce(degs, nbrs, f) -> list[int]:
+    """f - L x, linearly equivalent to f, with x the floor of the solution
+    of the Laplacian system grounded at vertex 0, so that the entries off
+    vertex 0 fall below the degrees.  Repeated on the exact residual while
+    its largest entry off vertex 0 exceeds the edge count and still
+    shrinks; below the edge count a solve costs about as much as the
+    shorter game saves."""
+    chips = list(f)
+    size = max(map(abs, chips[1:]))
+    edges = sum(degs) // 2
+    while size > edges:
+        shift = max(0, size.bit_length() - 60)  # in float range, squares too
+        y = _grounded_solve(degs, nbrs, [float(c >> shift) for c in chips])
+        trial = chips.copy()
+        for v, yv in enumerate(y):
+            num, den = yv.as_integer_ratio()
+            x = (num << shift) // den  # floor(yv * 2**shift), exactly
+            if x:
+                trial[v] -= degs[v] * x
+                for u, m in nbrs[v]:
+                    trial[u] += m * x
+        new = max(map(abs, trial[1:]))
+        if new >= size:
+            break
+        chips, size = trial, new
+    return chips
+
+
 def is_winnable(g: Multigraph, f) -> bool:
     """Whether f is linearly equivalent to an effective divisor.
 
-    Decided by halting classification of the complement divisor
-    degree - 1 - f; no nonnegativity assumption is placed on it.
+    A negative degree never is, since firing keeps the degree; a degree of
+    at least the genus |E| - n + 1 always is, since r(f) >= deg f - genus
+    by Riemann-Roch.  Otherwise the verdict is the halting classification
+    of the complement degree - 1 - f', where f' is the equivalent divisor
+    `_reduce` finds, so the game no longer grows with the chip count of f.
+    The float solve inside `_reduce` only chooses an integer firing vector,
+    applied exactly, so rounding cannot change the verdict.
     """
-    return classify_halting(g, winnability_complement(g, f)).is_halting
+    f = validate_divisor(g, f)
+    genus = g.genus()  # raises on a disconnected graph
+    total = deg(f)
+    if total < 0:
+        return False
+    if total >= genus:
+        return True
+    degs = g.degrees
+    chips = [d - 1 - x for d, x in zip(degs, _reduce(degs, g.nbrs, f))]
+    return _play(degs, g.nbrs, chips)[0]
 
 
 def parse_divisor(text: str, n: int | None = None) -> Divisor:

@@ -121,7 +121,3 @@ def parse_thresholds(text: str, n: int | None = None) -> Thresholds:
     if n is not None and len(tau) != n:
         raise FormatError(f"thresholds vector has {len(tau)} entries, expected {n}")
     return tau
-
-
-def thresholds_to_text(tau) -> str:
-    return " ".join(str(t) for t in tau) + "\n"

@@ -23,6 +23,7 @@ from chipfiring import (
     winnability_complement,
 )
 from chipfiring.families import (
+    connected_multigraphs,
     connected_simple_graphs,
     cycle_graph,
     divisors_in_box,
@@ -106,6 +107,76 @@ def test_is_winnable_examples():
 def test_winnability_complement():
     assert winnability_complement(C3, (-1, 1, 0)) == (2, 0, 1)
     assert classify_halting(C3, (2, 0, 1)).kind == NON_HALTING
+
+
+def _winnable_by_game(g, f):
+    return classify_halting(g, winnability_complement(g, f)).is_halting
+
+
+def test_is_winnable_matches_game_on_small_multigraphs():
+    rng = Random(11)
+    for g in connected_multigraphs(4, 6):
+        # free draws mostly land on a shortcut; the adjusted ones have a
+        # degree in [0, genus), where the reduced game decides
+        for _ in range(15):
+            f = [rng.randint(-40, 40) for _ in range(g.n)]
+            assert is_winnable(g, f) == _winnable_by_game(g, f), (g.edges(), f)
+        if g.n == 1 or g.genus() == 0:
+            continue
+        for _ in range(15):
+            f = [rng.randint(-40, 40) for _ in range(g.n)]
+            f[0] = rng.randrange(g.genus()) - sum(f[1:])
+            if abs(f[0]) <= 40:
+                assert is_winnable(g, f) == _winnable_by_game(g, f), (g.edges(), f)
+
+
+def test_is_winnable_matches_game_on_random_multigraphs():
+    rng = Random(2026)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 25)
+        edges = [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, n)]
+        edges += [(*rng.sample(range(n), 2), rng.randint(1, 3)) for _ in range(rng.randint(1, n))]
+        g = Multigraph(n, edges)
+        f = [rng.randint(-300, 300) for _ in range(n)]
+        f[0] += rng.randrange(g.genus()) - sum(f)  # degree in [0, genus)
+        got = is_winnable(g, f)
+        assert got == _winnable_by_game(g, f), (edges, f)
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
+def test_is_winnable_shortcut_boundaries():
+    # degree -1 is never winnable and degree genus always is, and the game
+    # agrees; degree genus - 1 is still searched and goes either way
+    searched = set()
+    for g in connected_multigraphs(4, 6, min_n=2):
+        gen = g.genus()
+        for v in range(g.n):
+            for k in (-1, gen - 1, gen):
+                for a in (40, 41):
+                    f = [0] * g.n
+                    f[v], f[(v + 1) % g.n] = a, k - a
+                    got = is_winnable(g, f)
+                    assert got == _winnable_by_game(g, f), (g.edges(), f)
+                    if k == -1:
+                        assert not got
+                    elif k == gen:
+                        assert got
+                    else:
+                        searched.add(got)
+    assert searched == {False, True}
+
+
+@pytest.mark.parametrize("n", [5, 12, 30])
+def test_cycle_dipole_winnable_exactly_when_n_divides(n):
+    # (a, -a, 0, ...) is a times the generator e0 - e1 of Jac(C_n) = Z/n
+    # entries up to 10**400 lie beyond float range
+    g = cycle_graph(n)
+    big = 10**400
+    for a in (1, n - 1, n, 3 * n + 1, 10**6 * n, 10**6 * n + 2, big, -big, n * big, n * big + 1):
+        f = (a, -a) + (0,) * (n - 2)
+        assert is_winnable(g, f) == (a % n == 0), (n, a)
 
 
 def test_bool_chip_counts_rejected():

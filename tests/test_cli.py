@@ -341,6 +341,17 @@ def test_concentrated_inputs_answer_within_seconds(tmp_path, argv, graph, vector
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
+@pytest.mark.parametrize("a, out", [(10**9, "true"), (10**9 + 8, "false")], ids=["16-divides", "16-does-not"])
+def test_winnable_answers_a_billion_chips_within_seconds(tmp_path, a, out):
+    # (a, -a, 0, ...) on C16 is a times a generator of the Jacobian Z/16,
+    # so it is winnable exactly when 16 divides a; a game that moves the
+    # chips one firing at a time runs far longer than the timeout
+    (tmp_path / "g.graph").write_text(C16)
+    (tmp_path / "x.div").write_text(divisor_to_text((a, -a) + (0,) * 14))
+    proc = _run_capped(tmp_path, ["winnable", "g.graph", "x.div", *J], timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"winnable": {out}}}\n', "")
+
+
 def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):
     # 48 vertices; enumerating every top-up of degree <= 5 exhausts the cap
     inst = reduce_tss_to_rec(complete_graph(6), (5,) * 6)
