@@ -4,11 +4,23 @@ Both distances are the least degree of an effective top-up g; the witness
 is the first such g in placement order (chips on the lowest vertex ids
 first: descending lexicographic order), so witnesses are deterministic.
 `dist_rec` is the least top-up search `chipfire._least_top_up`.  Only
-`dist_nonhalt`, and `rank` through it, enumerates every candidate of each
-degree, playing each game from the stabilization of f (adding an effective
-g commutes with stabilizing) and skipping candidates that activate nothing.
-Both are exponential by design.  Raising every vertex to its degree reaches
-a recurrent, hence non-halting, divisor, which bounds both distances.
+`dist_nonhalt` enumerates every candidate of each degree, playing each game
+from the stabilization of f (adding an effective g commutes with
+stabilizing) and skipping candidates that activate nothing.  Both are
+exponential by design.  Raising every vertex to its degree reaches a
+recurrent, hence non-halting, divisor, which bounds both distances.
+
+`dist_nonhalt` starts at level |E| - deg f: f + g halts exactly when its
+winnability complement deg - 1 - f - g is winnable, and below that level the
+complement has degree at least the genus, so it is winnable (Riemann-Roch)
+and every skipped level is empty.
+
+`rank` searches only where it must.  With genus G = |E| - n + 1 and canonical
+divisor K = deg - 2 (Baker-Norine), a divisor of negative degree has rank -1,
+one of degree above 2G - 2 has rank deg - G (closed form), and one of degree
+in (G - 1, 2G - 2] has rank deg - G + 1 + rank(K - f), where K - f has degree
+below G - 1 (dual).  Only degrees in [0, G - 1] reach the search, as one less
+than the distance of deg - 1 - f from a non-halting state.
 """
 
 from __future__ import annotations
@@ -70,7 +82,8 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     if not _play(degs, nbrs, stable)[0]:
         return DistanceResult(0, (0,) * n)
     limit = upper_bound_to_recurrent(g, f)
-    for k in range(1, limit + 1):
+    # lower levels leave a winnable complement of degree >= genus: all halt
+    for k in range(max(1, g.edge_count - deg(f)), limit + 1):
         for cand in effective_divisors(k, n):
             for v in range(n):
                 if cand[v] and stable[v] + cand[v] >= degs[v]:
@@ -84,11 +97,22 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
 
 
 def rank(g: Multigraph, f) -> int:
-    """Divisor rank: one less than the distance of degree - 1 - f from a
-    non-halting state; -1 exactly when f is not winnable."""
+    """Divisor rank: -1 exactly when f is not winnable.
+
+    Negative degree gives -1; degree above 2G - 2 gives deg f - G (closed
+    form); degree in (G - 1, 2G - 2] gives deg f - G + 1 + rank(K - f) by
+    Riemann-Roch (dual), with G the genus and K = deg - 2.  Degrees in
+    [0, G - 1] are searched: one less than the distance of deg - 1 - f from
+    a non-halting state."""
     g.require_connected()
     f = validate_divisor(g, f)
-    if deg(f) < 0:
+    d = deg(f)
+    genus = g.edge_count - g.n + 1
+    if d < 0:
         # degree is invariant under firing, so no effective equivalent exists
         return -1
+    if d > 2 * genus - 2:
+        return d - genus
+    if d > genus - 1:
+        return d - genus + 1 + rank(g, tuple(dv - 2 - x for dv, x in zip(g.degrees, f)))
     return dist_nonhalt(g, winnability_complement(g, f)).value - 1

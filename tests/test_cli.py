@@ -352,6 +352,17 @@ def test_winnable_answers_a_billion_chips_within_seconds(tmp_path, a, out):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"winnable": {out}}}\n', "")
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_rank_of_one_chip_per_vertex_on_a_cycle_within_seconds(tmp_path, n):
+    # degree n is above 2 * genus - 2 = 0, so Riemann-Roch gives n - 1 at
+    # once; searching levels of every top-up runs far past the timeout on C12
+    # and exhausts the memory cap on C16
+    (tmp_path / "g.graph").write_text(graph_to_text(cycle_graph(n)))
+    (tmp_path / "x.div").write_text(divisor_to_text((1,) * n))
+    proc = _run_capped(tmp_path, ["rank", "g.graph", "x.div", *J], timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"rank": {n - 1}}}\n', "")
+
+
 def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):
     # 48 vertices; enumerating every top-up of degree <= 5 exhausts the cap
     inst = reduce_tss_to_rec(complete_graph(6), (5,) * 6)

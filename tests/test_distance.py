@@ -14,6 +14,7 @@ from chipfiring import (
     is_winnable,
     rank,
     upper_bound_to_recurrent,
+    winnability_complement,
 )
 from chipfiring.distance import DistanceResult, effective_divisors
 from chipfiring.families import (
@@ -78,14 +79,34 @@ def test_rank_examples():
 
 
 def test_rank_satisfies_riemann_roch():
-    # Baker-Norine: r(D) - r(K - D) = deg D - g + 1 with K(v) = deg(v) - 2;
-    # an oracle-free check of the whole rank pipeline
+    # Baker-Norine: r(D) - r(K - D) = deg D - g + 1 with K(v) = deg(v) - 2.
+    # rank answers through this identity, so both sides come from the search
+    # behind it, which uses only that degree >= genus is winnable
     for g in connected_multigraphs(4, 5):
         canonical = tuple(d - 2 for d in g.degrees)
         genus = g.genus()
         for f in divisors_in_box(g, -1, 0):
             dual = tuple(k - x for k, x in zip(canonical, f))
-            assert rank(g, f) - rank(g, dual) == sum(f) - genus + 1, (g, f)
+            searched = [dist_nonhalt(g, winnability_complement(g, h)).value - 1 for h in (f, dual)]
+            assert searched[0] - searched[1] == sum(f) - genus + 1, (g, f)
+
+
+def test_rank_matches_definitional_in_every_regime():
+    regimes = set()
+    for g in connected_multigraphs(4, 5):
+        genus = g.genus()
+        for f in divisors_in_box(g, -1, 0):
+            d = sum(f)
+            if d < 0:
+                regimes.add("negative")
+            elif d > 2 * genus - 2:
+                regimes.add("closed form")
+            elif d > genus - 1:
+                regimes.add("dual")
+            else:
+                regimes.add("searched")
+            assert rank(g, f) == rank_definitional(g, f), (g.edges(), f)
+    assert regimes == {"negative", "closed form", "dual", "searched"}
 
 
 def test_disconnected_rejected():
@@ -167,6 +188,23 @@ def test_solvers_match_direct_enumeration():
         assert dist_nonhalt(g, f) == _naive_dist(
             g, f, lambda h: not classify_halting(g, h).is_halting
         )
+
+
+def test_dist_nonhalt_skips_only_levels_without_witness():
+    # levels below |E| - deg f are never searched: there the complement
+    # deg - 1 - f - g has degree >= genus, so it is winnable and f + g halts
+    rng = Random(2206)
+    skipping = 0
+    for _ in range(300):
+        g = random_connected_multigraph(rng, max_n=4, max_extra_edges=3)
+        f = random_divisor(rng, g, low=-2, high_offset=0)
+        if g.edge_count - sum(f) < 2:
+            continue
+        skipping += 1
+        assert dist_nonhalt(g, f) == _naive_dist(
+            g, f, lambda h: not classify_halting(g, h).is_halting
+        ), (g.edges(), f)
+    assert skipping >= 100
 
 
 def test_dist_rec_matches_direct_enumeration_on_heavy_edges():
