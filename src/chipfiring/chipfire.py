@@ -14,13 +14,21 @@ neighbor without bound, impossible because the total chip count is conserved
 by firing.  So an endless game marks every vertex as fired after finitely
 many steps, and the simulation always terminates.  No step cap is imposed.
 
-The game engine `_play` keeps the sorted list of active vertices between
-firings instead of scanning all n: firing v changes the chips of v and its
-neighbors only, so only they can leave or join the list.  The default
-policy fires its head and the seeded policy draws from it with
-`rng.choice`; both see exactly the list a scan would build, so witnesses do
-not depend on how it is kept, and a firing costs O(deg v + number of active
-vertices).  A heap would serve the lowest index but not the seeded draw.
+The game engine `_play`, like `_cascade` and `_least_top_up` below, works
+on slack, degree minus chips, so a vertex is active when its slack is <= 0.
+It keeps the sorted list of active vertices between firings instead of
+scanning all n: firing v changes the slack of v and its neighbors only, so
+only they can leave or join the list.  The default policy fires the head of
+the list and deletes it without a search; the seeded policy draws from it
+with `rng.choice`.  Both see exactly the list a scan would build, so
+witnesses do not depend on how it is kept, and a firing costs
+O(deg v + number of active vertices).  A heap would serve the lowest index
+but not the seeded draw.  Active flags in a bytearray, searched with
+`find`, play long games faster but lose elsewhere: short games slow down,
+the seeded draw needs one `find` per active vertex up to the one drawn, and
+each `find` returns a fresh int, so above vertex 256 the witness pays for
+an int object per firing, where the list hands back the ints the graph
+holds.
 
 Recurrence is decided by the exactly-once cascade `_cascade`, the one kernel
 behind recurrence, the distance-to-recurrence search and threshold
@@ -115,6 +123,7 @@ def add(f, g) -> Divisor:
 
 def is_active(g: Multigraph, f, v: int) -> bool:
     g._check_vertex(v)
+    f = validate_divisor(g, f)
     return f[v] >= g.degrees[v]
 
 
@@ -171,35 +180,42 @@ class HaltVerdict:
         return self.kind == HALTING
 
 
-def _play(degs, nbrs, chips, rng: Random | None = None):
+def _play(degs, nbrs, slack, rng: Random | None = None):
     """Play a legal game in place until it halts or every vertex has fired.
 
-    Fires the lowest-indexed active vertex, or a random active one when an
-    rng is given.  Returns (halted, order, counts); `chips` ends as the
-    stable divisor of a halting game, or as the state at the moment the last
-    unfired vertex fired in a non-halting one.
+    Works on slack, degree minus chips, as `_cascade` does: a vertex is
+    active when its slack is <= 0, firing v raises its slack by its degree
+    and lowers each neighbor's by the multiplicity of the edge.  Fires the
+    lowest-indexed active vertex, or a random active one when an rng is
+    given.  Returns (halted, order, counts); `slack` ends as the slack of
+    the stable divisor of a halting game, or of the state at the moment the
+    last unfired vertex fired in a non-halting one.
 
-    Firing v changes the chips of v and its neighbors only, so the sorted
+    Firing v changes the slack of v and its neighbors only, so the sorted
     list of active vertices is updated there instead of rescanned: v leaves
-    it when it drops below its degree, and a neighbor joins when its count
-    crosses its degree.  It is the list a scan would build, for both
-    policies.  Each firing costs O(deg v + active count).
+    it when its slack turns positive, and a neighbor joins when its slack
+    drops from positive to <= 0.  It is the list a scan would build, for
+    both policies.  Each firing costs O(deg v + active count).
     """
-    n = len(chips)
+    n = len(slack)
     counts = [0] * n
     order: list[int] = []
     unfired = n
-    active = [v for v in range(n) if chips[v] >= degs[v]]
+    active = [v for v in range(n) if slack[v] <= 0]
     while active:
-        v = active[0] if rng is None else rng.choice(active)
-        d = degs[v]
-        chips[v] -= d
-        if chips[v] < d:
-            del active[bisect_left(active, v)]
+        if rng is None:
+            v, i = active[0], 0
+        else:
+            v = rng.choice(active)
+            i = bisect_left(active, v)
+        s = slack[v] + degs[v]
+        slack[v] = s
+        if s > 0:
+            del active[i]
         for u, m in nbrs[v]:
-            x = chips[u]
-            chips[u] = x + m
-            if x < degs[u] <= x + m:
+            x = slack[u]
+            slack[u] = x - m
+            if 0 < x <= m:
                 insort(active, u)
         order.append(v)
         counts[v] += 1
@@ -304,11 +320,13 @@ def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict
     """
     g.require_connected()
     f = validate_divisor(g, f)
-    chips = list(f)
-    halted, order, counts = _play(g.degrees, g.nbrs, chips, rng)
+    degs = g.degrees
+    slack = [d - x for d, x in zip(degs, f)]
+    halted, order, counts = _play(degs, g.nbrs, slack, rng)
+    chips = tuple(d - s for d, s in zip(degs, slack))
     if halted:
-        return HaltVerdict(HALTING, stable=tuple(chips))
-    return HaltVerdict(NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), tuple(chips)))
+        return HaltVerdict(HALTING, stable=chips)
+    return HaltVerdict(NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), chips))
 
 
 def is_recurrent(g: Multigraph, f) -> tuple[bool, GameTrace | None]:
@@ -412,8 +430,9 @@ def is_winnable(g: Multigraph, f) -> bool:
     if total >= genus:
         return True
     degs = g.degrees
-    chips = [d - 1 - x for d, x in zip(degs, _reduce(degs, g.nbrs, f))]
-    return _play(degs, g.nbrs, chips)[0]
+    # the complement holds degree - 1 - x chips, so its slack is x + 1
+    slack = [x + 1 for x in _reduce(degs, g.nbrs, f)]
+    return _play(degs, g.nbrs, slack)[0]
 
 
 def parse_divisor(text: str, n: int | None = None) -> Divisor:

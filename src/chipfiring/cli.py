@@ -189,12 +189,14 @@ def _cmd_trace(args) -> int:
     f = _load_divisor(args.divisor, g)
     g.require_connected()
     rng = Random(args.seed) if args.seed is not None else None
-    chips = list(f)
-    halted, order, counts = chipfire._play(g.degrees, g.nbrs, chips, rng)
+    degs = g.degrees
+    slack = [d - x for d, x in zip(degs, f)]
+    halted, order, counts = chipfire._play(degs, g.nbrs, slack, rng)
     if halted and rng is not None:
         # a halting game is logged in the canonical order; its end is the same
-        chips = list(f)
-        _halted, order, counts = chipfire._play(g.degrees, g.nbrs, chips)
+        slack = [d - x for d, x in zip(degs, f)]
+        _halted, order, counts = chipfire._play(degs, g.nbrs, slack)
+    chips = [d - s for d, s in zip(degs, slack)]
     kind = chipfire.HALTING if halted else chipfire.NON_HALTING
     obj = {"kind": kind, "order": order, "counts": counts, "final": chips}
     if halted:

@@ -78,19 +78,21 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     n = g.n
     degs = g.degrees
     nbrs = g.nbrs
-    stable = list(f)
-    if not _play(degs, nbrs, stable)[0]:
+    slack = [d - x for d, x in zip(degs, f)]
+    if not _play(degs, nbrs, slack)[0]:
         return DistanceResult(0, (0,) * n)
+    # slack is now that of the stabilization of f, positive everywhere: a
+    # candidate activates v only when cand[v] reaches slack[v]
     limit = upper_bound_to_recurrent(g, f)
     # lower levels leave a winnable complement of degree >= genus: all halt
     for k in range(max(1, g.edge_count - deg(f)), limit + 1):
         for cand in effective_divisors(k, n):
             for v in range(n):
-                if cand[v] and stable[v] + cand[v] >= degs[v]:
+                if cand[v] >= slack[v]:
                     break
             else:
                 continue  # still stable, the game halts immediately
-            trial = [a + b for a, b in zip(stable, cand)]
+            trial = [s - c for s, c in zip(slack, cand)]
             if not _play(degs, nbrs, trial)[0]:
                 return DistanceResult(k, cand)
     raise AssertionError("unreachable: the pointwise deficit filler is non-halting")

@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -49,6 +50,9 @@ def test_is_active():
     assert not is_active(K2, (1, 0), 1)
     assert not any(is_active(K2, (0, 0), v) for v in range(2))
     assert [is_active(C3, (2, 1, 0), v) for v in range(3)] == [True, False, False]
+    for bad in [(1,), (1, True), (1, 0.5)]:
+        with pytest.raises(GraphStructureError):
+            is_active(K2, bad, 1)
 
 
 def test_is_effective():
@@ -271,6 +275,10 @@ def test_recurrence_witness_is_exactly_once(gf):
         assert fire_sequence(g, f, trace.firing_order, require_legal=True) == f
 
 
+def _slack(g, f):
+    return [d - x for d, x in zip(g.degrees, f)]
+
+
 def _replay_lowest_first(g, f, order, once):
     """Replay a firing order, checking that each step fires the lowest-
     indexed eligible vertex: active and, when `once`, not fired yet."""
@@ -294,9 +302,15 @@ def test_witnesses_fire_lowest_eligible_vertex(gf):
     ok, trace = is_recurrent(g, f)
     if ok:
         assert _replay_lowest_first(g, f, trace.firing_order, once=True) == trace.final
-    witness = classify_halting(g, f).witness
+    verdict = classify_halting(g, f)
+    witness = verdict.witness
     if witness is not None:
         assert _replay_lowest_first(g, f, witness.firing_order, once=False) == witness.final
+    # the engine works on slack: it leaves degree - stable, or degree - final
+    slack = _slack(g, f)
+    halted, _order, _counts = _play(g.degrees, g.nbrs, slack)
+    assert halted == verdict.is_halting
+    assert slack == _slack(g, verdict.stable if halted else witness.final)
 
 
 def _seeded_reference(g, f, rng):
@@ -327,6 +341,10 @@ def test_seeded_policy_draws_from_sorted_active_list(gf, policy_seed):
     g, f = gf
     expected = _seeded_reference(g, f, Random(policy_seed))
     assert classify_halting(g, f, rng=Random(policy_seed)) == expected
+    slack = _slack(g, f)
+    halted, _order, _counts = _play(g.degrees, g.nbrs, slack, Random(policy_seed))
+    assert halted == expected.is_halting
+    assert slack == _slack(g, expected.stable if halted else expected.witness.final)
 
 
 def _board(n):
@@ -335,6 +353,15 @@ def _board(n):
     edges = [(v, (v + 1) % n, 1) for v in range(n)]
     edges += [(v, (7 * v + 5) % n, 1 + v % 3) for v in range(0, n, 3) if (7 * v + 5) % n != v]
     return Multigraph(n, edges)
+
+
+def _long_game_divisor(g):
+    # maximal stable plus one chip on vertices 0-2: non-halting, and on
+    # _board(600) the lowest-first game takes 4,778 firings
+    f = [d - 1 for d in g.degrees]
+    for v in (0, 1, 2):
+        f[v] += 1
+    return f
 
 
 def test_large_board_games():
@@ -358,8 +385,30 @@ def test_large_board_games():
         f[v] += 3 * g.degrees[v]
     verdict = classify_halting(g, f)
     assert verdict.kind == HALTING
-    halted, order, _counts = _play(g.degrees, g.nbrs, list(f))
+    halted, order, _counts = _play(g.degrees, g.nbrs, _slack(g, f))
     assert halted and len(order) > 500
     assert _replay_lowest_first(g, f, order, once=False) == verdict.stable
     assert all(x < d for x, d in zip(verdict.stable, g.degrees))
     assert classify_halting(g, f, rng=Random(3)) == verdict
+
+    # the seeded non-halting witness above vertex id 256 as well
+    f = _long_game_divisor(g)
+    seeded = classify_halting(g, f, rng=Random(5))
+    assert seeded.witness is not None and max(seeded.witness.firing_order) > 256
+    assert seeded == _seeded_reference(g, f, Random(5))
+
+
+def test_long_witness_memory():
+    # the witness lists one vertex per firing: each entry should cost one
+    # pointer to the int the graph already holds, not a fresh int
+    g = _board(600)
+    f = _long_game_divisor(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        witness = classify_halting(g, f).witness
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(witness.firing_order) == 4778
+    assert retained <= 12 * len(witness.firing_order)
