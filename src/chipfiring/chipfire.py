@@ -52,9 +52,12 @@ It skips only what cannot complete within the budget, so it finds the same
 vector: slack above the degree is paid up front (a vertex receives at most
 its degree); the budget starts at a lower bound (each edge among unfired
 vertices delivers once, payments cover the rest, a seed at most its slack);
-a payment short of a slack, which fires nothing, needs budget left to pay a
-later vertex in full; and an unseeded vertex must fire once all later
-vertices are seeded.
+with seeds, every branch is held to that bound again, counting only the
+vertices it may still seed and the seeds it has left; a payment short of a
+slack, which fires nothing, needs budget left to pay a later vertex in
+full; and an unseeded vertex must fire once all later vertices are seeded.
+Paying chips, the search keeps the bound at the root only: its nodes are
+many and cheap, and checking each costs more than it cuts.
 
 Winnability is decided by a game whose length does not grow with the chip
 count.  Firing keeps the degree, so a negative degree is never winnable,
@@ -84,7 +87,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from operator import mul
 from random import Random
 
@@ -252,7 +255,11 @@ def _cascade(nbrs, slack, done, start) -> list[int]:
 def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
     """Least cost, and first least-cost vector in descending lexicographic
     order, of payments after which `_cascade` fires every vertex: p chips
-    lower a slack by p at cost p, or with `unit` a seed zeroes it at cost 1."""
+    lower a slack by p at cost p, or with `unit` a seed zeroes it at cost 1.
+
+    The budget starts at the lower bound: `need`, the slack of the unfired
+    vertices minus the edges among them, in chips, or `_seeds_needed` for
+    it in seeds.  `_top_up` applies the seed bound again at every branch."""
     n = len(slack)
     slack, done, pay = list(slack), bytearray(n), [0] * n
     for v, d in enumerate(degs):
@@ -262,20 +269,41 @@ def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
     if left:
         unfired = [v for v in range(n) if not done[v]]
         # each edge among the unfired delivers once, payments cover the rest
-        # of their slack, a seed at most its vertex's slack
         edges = sum(m for v in unfired for u, m in nbrs[v] if u < v and not done[u])
-        lower = sum(slack[v] for v in unfired) - edges
-        if unit:
-            covers = accumulate(sorted((slack[v] for v in unfired), reverse=True), initial=0)
-            lower = next(k for k, c in enumerate(covers) if c >= lower)
-        next(k for k in count(max(lower, 1)) if _top_up(nbrs, slack, done, left, 0, k, unit, pay))
+        need = sum(slack[v] for v in unfired) - edges
+        lower = _seeds_needed(slack, done, 0, need) if unit else need
+        next(k for k in count(max(lower, 1)) if _top_up(nbrs, slack, done, left, 0, k, unit, pay, need))
     return sum(pay), tuple(pay)
 
 
-def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
+def _seeds_needed(slack, done, start, need) -> int:
+    """Fewest seeds on the unfired vertices >= start whose slacks sum to at
+    least `need`, or len(slack) + 1 if all of them fall short.
+
+    `need` is the slack of the unfired vertices minus the edges among them:
+    each such edge delivers a chip at most once, so seeds must cover the
+    rest, and a seed covers at most its vertex's slack.  No fewer seeds
+    can complete the cascade."""
+    if need <= 0:
+        return 0
+    candidates = sorted((s for s, d in zip(slack[start:], done[start:]) if not d), reverse=True)
+    for k, s in enumerate(candidates, 1):
+        need -= s
+        if need <= 0:
+            return k
+    return len(slack) + 1
+
+
+def _top_up(nbrs, slack, done, left, start, budget, unit, pay, need) -> bool:
     """Whether payments of total at most `budget` on the vertices >= start
     complete a cascade-closed state with `left` vertices unfired; the first
-    such vector, largest payment first, is added to `pay`."""
+    such vector, largest payment first, is added to `pay`.
+
+    With `unit`, `need` is the slack of the unfired vertices minus the
+    edges among them, and a branch with fewer seeds left than
+    `_seeds_needed` for the vertices it may still seed is cut.  It cannot
+    complete, so the first completing vector, the witness, is the same with
+    or without the cut.  Paying chips, `need` is the root's and unused."""
     if not left or not budget:
         return not left
     n = len(slack)
@@ -287,6 +315,9 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
     for i in range(start, n):
         if done[i]:
             continue
+        # at vertex 0 this is the root, whose budget starts at the bound
+        if unit and i and _seeds_needed(slack, done, i, need) > budget:
+            return False
         s = slack[i]
         # a payment short of s fires nothing: it must leave room to pay a
         # later vertex in full
@@ -295,11 +326,17 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay) -> bool:
             cost = 1 if unit else p
             trial = slack.copy()
             trial[i] = s - p
-            fired, rest = done, left
+            fired, rest, rest_need = done, left, need
             if p == s:  # i fires; a smaller payment fires nothing
                 fired = bytearray(done)
-                rest -= len(_cascade(nbrs, trial, fired, (i,)))
-            if _top_up(nbrs, trial, fired, rest, i + 1, budget - cost, unit, pay):
+                order = _cascade(nbrs, trial, fired, (i,))
+                rest -= len(order)
+                if unit:
+                    # need loses the slack the fired set F held and regains
+                    # the edges inside F; each lowered the slack of both its
+                    # ends, so held = s + (slack F holds now) + 2 e(F, F)
+                    rest_need -= (sum(slack[v] + trial[v] for v in order) + s) // 2
+            if _top_up(nbrs, trial, fired, rest, i + 1, budget - cost, unit, pay, rest_need):
                 pay[i] += cost
                 return True
         if unit:  # i stays unseeded: seeding every later vertex must fire it

@@ -28,10 +28,11 @@ class Multigraph:
     """Immutable undirected multigraph without self-loops.
 
     Instances are safe to share read-only across workers; the neighbor lists,
-    degrees and edge count are computed once at construction.
+    degrees and edge count are computed once at construction, connectivity
+    once on first use.
     """
 
-    __slots__ = ("n", "degrees", "nbrs", "edge_count")
+    __slots__ = ("n", "degrees", "nbrs", "edge_count", "_connected")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -59,6 +60,7 @@ class Multigraph:
         self.nbrs = tuple(tuple(sorted(row.items())) for row in adj)
         self.degrees = tuple(sum(row.values()) for row in adj)
         self.edge_count = sum(self.degrees) // 2
+        self._connected = None
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
@@ -90,6 +92,8 @@ class Multigraph:
         return [(u, v, m) for u, row in enumerate(self.nbrs) for v, m in row if u < v]
 
     def is_connected(self) -> bool:
+        if self._connected is not None:
+            return self._connected
         seen = bytearray(self.n)
         seen[0] = 1
         stack = [0]
@@ -101,7 +105,8 @@ class Multigraph:
                     seen[u] = 1
                     count += 1
                     stack.append(u)
-        return count == self.n
+        self._connected = count == self.n
+        return self._connected
 
     def require_connected(self) -> None:
         if not self.is_connected():

@@ -38,11 +38,11 @@ def validate_thresholds(g: Multigraph, tau) -> Thresholds:
 
 
 def _validate_seed(g: Multigraph, seed) -> tuple[int, ...]:
-    members = sorted(set(seed))
-    for v in members:
-        if not isinstance(v, int) or not 0 <= v < g.n:
+    seed = tuple(seed)
+    for v in seed:  # before the set, which would merge True into 1
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
             raise InvalidVertexError(f"seed vertex {v!r} out of range [0, {g.n})")
-    return tuple(members)
+    return tuple(sorted(set(seed)))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,22 @@ def test_connectivity():
     assert Multigraph(1).is_connected()
 
 
+def test_connectivity_is_computed_once_and_equality_ignores_it():
+    # the verdict is kept in a private slot after the first search; equality
+    # and hashing still look at the adjacency lists only
+    for edges, connected in [([(0, 1, 1), (1, 2, 1)], True), ([(0, 1, 1)], False)]:
+        asked, fresh = Multigraph(3, edges), Multigraph(3, edges)
+        assert asked._connected is None
+        assert asked.is_connected() is connected
+        assert asked._connected is connected
+        assert asked.is_connected() is connected
+        assert asked == fresh and hash(asked) == hash(fresh)
+    g = Multigraph(3, [(0, 1, 1)])
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError, match="^operation requires a connected graph$"):
+            g.require_connected()
+
+
 def test_genus():
     assert C3.genus() == 1
     assert path_graph(4).genus() == 0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from chipfiring import (
     GraphStructureError,
+    InvalidVertexError,
     Multigraph,
     activation_closure,
     greedy_target_set,
@@ -92,6 +93,15 @@ def test_threshold_validation():
         min_target_set(K2, (True, 1))
 
 
+@pytest.mark.parametrize("seed", [[True], [1, True], [False, 1], [1.0], [2], [-1]])
+def test_seed_members_must_be_vertex_ids(seed):
+    # a bool is an int subclass, refused as for divisors and thresholds
+    with pytest.raises(InvalidVertexError):
+        activation_closure(K2, (1, 1), seed)
+    with pytest.raises(InvalidVertexError):
+        is_target_set(K2, (1, 1), seed)
+
+
 small_instance = st.integers(min_value=0, max_value=5000).map(
     lambda seed: _random_tss_instance(seed)
 )
@@ -148,17 +158,45 @@ def _activates_all(g, tau, seed):
         active |= joining
 
 
-def test_min_target_set_is_first_subset_of_least_size_exhaustive():
+def _first_least_target_set(g, tau):
     # the tie-break: the first combinations() subset at the least size
+    return next(
+        subset
+        for size in range(g.n + 1)
+        for subset in combinations(range(g.n), size)
+        if _activates_all(g, tau, subset)
+    )
+
+
+def test_min_target_set_is_first_subset_of_least_size_exhaustive():
     for g in connected_simple_graphs([2, 3, 4]):
         for tau in threshold_assignments(g, low=0, high_offset=1):
-            first = next(
-                subset
-                for size in range(g.n + 1)
-                for subset in combinations(range(g.n), size)
-                if _activates_all(g, tau, subset)
-            )
-            assert min_target_set(g, tau).members == first, (g.edges(), tau)
+            assert min_target_set(g, tau).members == _first_least_target_set(g, tau), (g.edges(), tau)
+
+
+def _random_simple_graph(rng, n):
+    # a random spanning tree plus about n/2 to n extra edges, all simple
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(n // 2, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Multigraph(n, [(u, v, 1) for u, v in sorted(edges)])
+
+
+@pytest.mark.parametrize(
+    "seed, span",
+    [(1, lambda d: (0, d + 1)), (2, lambda d: (max(0, d - 1), d))],
+    ids=["tau-0-to-deg+1", "tau-deg-1-to-deg"],
+)
+def test_min_target_set_is_first_subset_of_least_size_on_larger_graphs(seed, span):
+    # 6-12 vertices, where the search cuts branches that the exhaustive
+    # tests above, on at most 4 vertices, rarely reach; thresholds near the
+    # degree make the cuts common
+    rng = Random(seed)
+    for _ in range(100):
+        g = _random_simple_graph(rng, rng.randint(6, 12))
+        tau = tuple(rng.randint(*span(d)) for d in g.degrees)
+        assert min_target_set(g, tau).members == _first_least_target_set(g, tau), (g.edges(), tau)
 
 
 def test_cycle_needs_alternating_seeds():
