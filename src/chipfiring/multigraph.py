@@ -7,6 +7,13 @@ of N parallel edges is one entry and storage grows with the edges, not with
 n squared.  Degrees, the edge list and equality derive from these lists.
 Self-loops are rejected at construction time; firing across one would be a
 no-op and no construction here ever creates one.
+
+Every graph's rows come from one private constructor, `_set_rows`: it
+takes per-vertex neighbor -> multiplicity maps and derives the stored lists,
+degrees and edge count, so the stored format is known here only.
+`Multigraph(n, edges)` validates the edge list into such maps and hands
+them on; gadget constructions whose maps are valid by construction reach it
+through `Multigraph._from_rows`, skipping the per-edge checks.
 """
 
 from __future__ import annotations
@@ -29,15 +36,15 @@ class Multigraph:
 
     Instances are safe to share read-only across workers; the neighbor lists,
     degrees and edge count are computed once at construction, connectivity
-    once on first use.
+    and simplicity once on first use.
     """
 
-    __slots__ = ("n", "degrees", "nbrs", "edge_count", "_connected")
+    __slots__ = ("n", "degrees", "nbrs", "edge_count", "_connected", "_simple")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphStructureError(f"vertex count must be a positive integer, got {n!r}")
-        adj = [{} for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for item in edges:
             try:
                 u, v, k = item
@@ -45,22 +52,42 @@ class Multigraph:
                 raise GraphStructureError(
                     f"edge must be a (u, v, multiplicity) triple, got {item!r}"
                 ) from None
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise GraphStructureError(f"edge endpoints must be integers, got {item!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidVertexError(f"edge endpoint out of range [0, {n}) in {item!r}")
-            if u == v:
-                raise GraphStructureError(f"self-loop at vertex {u} is not allowed")
-            if not isinstance(k, int) or k < 1:
-                raise GraphStructureError(f"edge multiplicity must be a positive integer, got {item!r}")
-            u, v = int(u), int(v)  # a bool endpoint is stored as the int it equals
-            adj[u][v] = adj[u].get(v, 0) + k
-            adj[v][u] = adj[v].get(u, 0) + k
-        self.n = n
-        self.nbrs = tuple(tuple(sorted(row.items())) for row in adj)
-        self.degrees = tuple(sum(row.values()) for row in adj)
+            if not (type(u) is int and type(v) is int and type(k) is int
+                    and 0 <= u < n and 0 <= v < n and u != v and k >= 1):
+                # a suspect edge: find its error, or store bools as the ints they equal
+                if not (isinstance(u, int) and isinstance(v, int)):
+                    raise GraphStructureError(f"edge endpoints must be integers, got {item!r}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidVertexError(f"edge endpoint out of range [0, {n}) in {item!r}")
+                if u == v:
+                    raise GraphStructureError(f"self-loop at vertex {u} is not allowed")
+                if not isinstance(k, int) or k < 1:
+                    raise GraphStructureError(
+                        f"edge multiplicity must be a positive integer, got {item!r}"
+                    )
+                u, v, k = int(u), int(v), int(k)
+            row = rows[u]
+            row[v] = row.get(v, 0) + k
+            row = rows[v]
+            row[u] = row.get(u, 0) + k
+        self._set_rows(rows)
+
+    def _set_rows(self, rows: list[dict[int, int]], connected: bool | None = None) -> None:
+        self.n = len(rows)
+        self.nbrs = tuple(tuple(sorted(row.items())) for row in rows)
+        self.degrees = tuple(sum(row.values()) for row in rows)
         self.edge_count = sum(self.degrees) // 2
-        self._connected = None
+        self._connected = connected
+        self._simple = None
+
+    @classmethod
+    def _from_rows(cls, rows: list[dict[int, int]], connected: bool | None = None) -> Multigraph:
+        """A graph with the given neighbor -> multiplicity maps, trusted as
+        they are: symmetric, in range, without self-loops, multiplicities
+        positive ints.  `connected` presets the connectivity verdict."""
+        g = cls.__new__(cls)
+        g._set_rows(rows, connected)
+        return g
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
@@ -118,7 +145,9 @@ class Multigraph:
         return self.edge_count - self.n + 1
 
     def is_simple(self) -> bool:
-        return all(m <= 1 for row in self.nbrs for _u, m in row)
+        if self._simple is None:
+            self._simple = all(m <= 1 for row in self.nbrs for _u, m in row)
+        return self._simple
 
     def require_simple(self) -> None:
         if not self.is_simple():

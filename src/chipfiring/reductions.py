@@ -27,6 +27,11 @@ constructions reproducible without solving the distance first.  Once every
 original vertex fires once the apex holds exactly its degree in chips, so
 exactly-once games extend to non-halting games and vice versa.
 
+Both gadgets are built straight into adjacency maps rather than edge lists,
+and are marked connected at build time: each source is required to be
+connected first, and each gadget keeps every source vertex joined to the
+rest (through its chain and ports, or through the apex).
+
 Vertex ids are laid out deterministically (inner block, core block, outer
 block, then ports in sorted edge order; the apex is always last) so that
 instances are byte-reproducible; the role strings are the authoritative
@@ -35,7 +40,7 @@ meaning of each id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chipfire import add, is_effective, is_recurrent, validate_divisor
 from .distance import dist_rec
@@ -107,16 +112,17 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         ports[(v, u)] = 3 * n + 2 * j + 1
     total = 3 * n + 2 * len(edge_pairs)
 
-    edges = []
+    # g is simple, so every gadget pair below is set exactly once
+    rows = [{} for _ in range(total)]
     for v in range(n):
-        edges.append((inner[v], core[v], bundle))
-        edges.append((core[v], outer[v], 1))
-    for u, v in edge_pairs:
-        edges.append((outer[u], ports[(u, v)], bundle))
-        edges.append((ports[(u, v)], inner[v], 1))
-        edges.append((outer[v], ports[(v, u)], bundle))
-        edges.append((ports[(v, u)], inner[u], 1))
-    gprime = Multigraph(total, edges)
+        rows[inner[v]][core[v]] = bundle
+        rows[core[v]] = {inner[v]: bundle, outer[v]: 1}
+        rows[outer[v]][core[v]] = 1
+    for (u, v), p in ports.items():
+        rows[outer[u]][p] = bundle
+        rows[p] = {outer[u]: bundle, inner[v]: 1}
+        rows[inner[v]][p] = 1
+    gprime = Multigraph._from_rows(rows, connected=True)
 
     x = [0] * total
     for v in range(n):
@@ -290,13 +296,21 @@ def reduce_rec_to_nonhalt(
             raise WitnessError(
                 f"apex multiplicity {M} must exceed {required} for this instance"
             )
+    roles = tuple([f"orig:{v}" for v in range(g.n)] + ["new"])
+    return _apex_gadget(g, f, M, roles)
+
+
+def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int,
+                 roles: tuple[str, ...]) -> RecToNonhaltInstance:
+    """The apex gadget of a connected g, with f and M already validated."""
     n = g.n
     apex = n
-    edges = list(g.edges())
-    edges.extend((v, apex, M) for v in range(n))
-    gpp = Multigraph(n + 1, edges)
+    rows = [dict(row) for row in g.nbrs]
+    for row in rows:
+        row[apex] = M
+    rows.append(dict.fromkeys(range(n), M))
+    gpp = Multigraph._from_rows(rows, connected=True)
     fpp = tuple(list(x + M for x in f) + [0])
-    roles = tuple([f"orig:{v}" for v in range(n)] + ["new"])
     return RecToNonhaltInstance(
         gpp=gpp, fpp=fpp, M=M, new_vertex=apex, roles=roles, source=g, f=f
     )
@@ -311,9 +325,8 @@ def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, Tss
     so the apex bound holds without solving anything.
     """
     bundle_inst = reduce_tss_to_rec(g, tau)
-    m = g.n + 1
-    apex_inst = reduce_rec_to_nonhalt(bundle_inst.gprime, bundle_inst.x, M=m)
-    apex_inst = replace(apex_inst, roles=tuple(list(bundle_inst.roles) + ["new"]))
+    apex_inst = _apex_gadget(bundle_inst.gprime, bundle_inst.x, g.n + 1,
+                             bundle_inst.roles + ("new",))
     return apex_inst, bundle_inst
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,19 +61,33 @@ def test_connectivity():
 
 
 def test_connectivity_is_computed_once_and_equality_ignores_it():
-    # the verdict is kept in a private slot after the first search; equality
-    # and hashing still look at the adjacency lists only
-    for edges, connected in [([(0, 1, 1), (1, 2, 1)], True), ([(0, 1, 1)], False)]:
+    # connectivity and simplicity are each kept in a private slot after the
+    # first walk; equality and hashing still look at the adjacency lists only
+    for edges, connected, simple in [
+        ([(0, 1, 1), (1, 2, 1)], True, True),
+        ([(0, 1, 1)], False, True),
+        ([(0, 1, 2), (1, 2, 1)], True, False),
+    ]:
         asked, fresh = Multigraph(3, edges), Multigraph(3, edges)
-        assert asked._connected is None
+        assert asked._connected is None and asked._simple is None
         assert asked.is_connected() is connected
         assert asked._connected is connected
         assert asked.is_connected() is connected
+        assert asked.is_simple() is simple
+        assert asked._simple is simple
+        assert asked.is_simple() is simple
         assert asked == fresh and hash(asked) == hash(fresh)
     g = Multigraph(3, [(0, 1, 1)])
     for _ in range(2):
         with pytest.raises(DisconnectedGraphError, match="^operation requires a connected graph$"):
             g.require_connected()
+    g = Multigraph(2, [(0, 1, 2)])
+    for _ in range(2):
+        with pytest.raises(
+            GraphStructureError,
+            match=re.escape("operation requires a simple graph (all multiplicities <= 1)"),
+        ):
+            g.require_simple()
 
 
 def test_genus():
@@ -109,6 +124,63 @@ def test_bad_multiplicity_rejected():
         Multigraph(2, [(0, 1, 0)])
     with pytest.raises(GraphStructureError):
         Multigraph(2, [(0, 1, -2)])
+
+
+@pytest.mark.parametrize("edge, error, message", [
+    ((0, 1), GraphStructureError, "edge must be a (u, v, multiplicity) triple, got (0, 1)"),
+    (7, GraphStructureError, "edge must be a (u, v, multiplicity) triple, got 7"),
+    (("0", 1, 1), GraphStructureError, "edge endpoints must be integers, got ('0', 1, 1)"),
+    ((0, 1.0, 1), GraphStructureError, "edge endpoints must be integers, got (0, 1.0, 1)"),
+    ((0, 2, 1), InvalidVertexError, "edge endpoint out of range [0, 2) in (0, 2, 1)"),
+    ((-1, 0, 1), InvalidVertexError, "edge endpoint out of range [0, 2) in (-1, 0, 1)"),
+    ((1, 1, 1), GraphStructureError, "self-loop at vertex 1 is not allowed"),
+    ((0, 1, 0), GraphStructureError, "edge multiplicity must be a positive integer, got (0, 1, 0)"),
+    ((0, 1, -1), GraphStructureError, "edge multiplicity must be a positive integer, got (0, 1, -1)"),
+    ((0, 1, 1.5), GraphStructureError, "edge multiplicity must be a positive integer, got (0, 1, 1.5)"),
+])
+def test_bad_edge_error_type_and_message(edge, error, message):
+    # the bad edge may follow a good one: checks hold for every edge
+    with pytest.raises(error, match="^" + re.escape(message) + "$") as info:
+        Multigraph(2, [(0, 1, 1), edge])
+    assert type(info.value) is error
+
+
+def test_bool_endpoint_and_multiplicity_stored_as_ints():
+    g = Multigraph(2, [(True, False, True), (0, 1, 2)])
+    assert g.nbrs == (((1, 3),), ((0, 3),))
+    assert all(type(x) is int for row in g.nbrs for pair in row for x in pair)
+    assert g.edges() == [(0, 1, 3)]
+    h = Multigraph(2, [(False, True, True)])
+    assert all(type(x) is int for x in h.edges()[0] + h.degrees)
+    assert repr(h) == "Multigraph(n=2, edges=[(0, 1, 1)])"
+
+
+@st.composite
+def edge_lists(draw):
+    """n and an edge list with repeated pairs, some of them reversed."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=15))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        edges.append((u, v, draw(st.integers(min_value=1, max_value=4))))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    edges += [(v, u, k) if flip else (u, v, k)
+              for (u, v, k), flip in zip(repeats, draw(st.lists(st.booleans(), min_size=5)))]
+    return n, edges
+
+
+@given(edge_lists())
+def test_edge_list_build_matches_reference_accumulation(case):
+    n, edges = case
+    ref = [{} for _ in range(n)]
+    for u, v, k in edges:
+        ref[u][v] = ref[u].get(v, 0) + k
+        ref[v][u] = ref[v].get(u, 0) + k
+    g = Multigraph(n, edges)
+    assert g.nbrs == tuple(tuple(sorted(row.items())) for row in ref)
+    assert g.degrees == tuple(sum(row.values()) for row in ref)
+    assert g.edge_count == sum(k for _u, _v, k in edges)
 
 
 def test_bool_vertex_count_rejected():

@@ -25,10 +25,12 @@ from chipfiring import (
 from chipfiring.families import (
     complete_graph,
     connected_multigraphs,
+    connected_simple_graphs,
     cycle_graph,
     divisors_in_box,
     random_connected_multigraph,
     random_divisor,
+    threshold_assignments,
 )
 
 K2 = Multigraph(2, [(0, 1, 1)])
@@ -236,6 +238,63 @@ class TestComposedReduction:
         assert apex_inst.gpp.n == 9
         assert apex_inst.M == 3
         assert dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value == 1
+
+
+def bundle_edge_list(g):
+    """The bundle gadget's edges in the documented id layout: inner, core
+    and outer blocks, then two ports per source edge in sorted edge order."""
+    n, big = g.n, g.n + 2
+    edges = []
+    for v in range(n):
+        edges += [(v, n + v, big), (n + v, 2 * n + v, 1)]
+    for j, (u, v, _m) in enumerate(g.edges()):
+        puv, pvu = 3 * n + 2 * j, 3 * n + 2 * j + 1
+        edges += [(2 * n + u, puv, big), (puv, v, 1), (2 * n + v, pvu, big), (pvu, u, 1)]
+    return edges
+
+
+def assert_same_graph(built, reference):
+    """A gadget built from maps equals Multigraph(n, edges) of its edge list,
+    and its preset connectivity and simplicity equal a fresh computation."""
+    assert (built.n, built.nbrs, built.degrees, built.edge_count) == (
+        reference.n, reference.nbrs, reference.degrees, reference.edge_count)
+    assert built._connected is True and reference.is_connected()
+    assert built.is_simple() == reference.is_simple()
+
+
+class TestGadgetsMatchEdgeListBuild:
+    def test_bundle_and_composed_gadgets(self):
+        forced_seen = 0
+        for g in connected_simple_graphs([2, 3, 4, 5]):
+            bundle_ref = Multigraph(3 * g.n + 2 * g.edge_count, bundle_edge_list(g))
+            apex = bundle_ref.n
+            apex_ref = Multigraph(
+                apex + 1, bundle_ref.edges() + [(z, apex, g.n + 1) for z in range(apex)]
+            )
+            # thresholds run up to deg + 1, so forced vertices are included
+            for tau in threshold_assignments(g):
+                apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+                forced_seen += bundle_inst.forced > 0
+                assert_same_graph(bundle_inst.gprime, bundle_ref)
+                assert_same_graph(apex_inst.gpp, apex_ref)
+                assert apex_inst.roles == bundle_inst.roles + ("new",)
+                assert apex_inst.fpp == tuple(x + g.n + 1 for x in bundle_inst.x) + (0,)
+        assert forced_seen
+
+    def test_apex_gadgets(self):
+        graphs = connected_multigraphs(4, 5)
+        assert graphs[0].n == 1
+        for g in graphs:
+            refs = {}
+            for f in divisors_in_box(g, -1, 0):
+                for M in (None, 2):
+                    inst = reduce_rec_to_nonhalt(g, f, M)
+                    if inst.M not in refs:
+                        refs[inst.M] = Multigraph(
+                            g.n + 1, g.edges() + [(v, g.n, inst.M) for v in range(g.n)]
+                        )
+                    assert_same_graph(inst.gpp, refs[inst.M])
+                    assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
 
 
 class TestSubdivision:
