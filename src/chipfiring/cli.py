@@ -238,7 +238,7 @@ def _cmd_reduce(args) -> int:
         _write_bundle(args, inst.gprime, inst.x, reductions.bundle_sidecar(inst))
     elif args.kind == "rec-to-nonhalt":
         f = _load_divisor(args.second, g)
-        inst = reductions.reduce_rec_to_nonhalt(g, f, M=args.m, verify_bound=args.m is not None)
+        inst = reductions.reduce_rec_to_nonhalt(g, f, M=args.m)
         _write_bundle(args, inst.gpp, inst.fpp, reductions.bundle_sidecar(inst))
     else:  # tss-to-nonhalt
         tau = _load_thresholds(args.second, g)

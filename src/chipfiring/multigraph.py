@@ -90,7 +90,9 @@ class Multigraph:
         return g
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        # a bool is an int subclass: refuse it, and pass plain ints at once
+        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
+                or not 0 <= v < self.n):
             raise InvalidVertexError(f"vertex {v!r} out of range [0, {self.n})")
 
     def degree(self, v: int) -> int:

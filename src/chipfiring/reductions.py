@@ -1,7 +1,8 @@
 """Gadget constructions tying target set selection to chip-firing distances.
 
-Three constructions live here, plus witness transport between them and an
-edge subdivision that turns any instance into one on a simple graph.
+Three constructions live here, plus witness transport through the bundle
+gadget and an edge subdivision that turns any instance into one on a simple
+graph.
 
 Bundle gadget (target sets -> distance to recurrence).  Every source vertex
 v becomes a chain v_i, v_c, v_o: N parallel edges join v_i to v_c and a
@@ -26,6 +27,13 @@ exceed dist_rec(G, f) + max(0, max_v(f(v) - degree(v))); the default
 constructions reproducible without solving the distance first.  Once every
 original vertex fires once the apex holds exactly its degree in chips, so
 exactly-once games extend to non-halting games and vice versa.
+
+Witness transport is total both ways.  `lift_target_set` turns any target
+set S into a recurrence witness of degree |S| minus the forced vertices, and
+`extract_target_set` turns any recurrence witness y, minimum or not, into a
+target set of size at most deg y plus the forced vertices, in one pass over
+y.  So solutions, not just optima, move through the gadget, and a minimum on
+either side maps to a minimum on the other.
 
 Both gadgets are built straight into adjacency maps rather than edge lists,
 and are marked connected at build time: each source is required to be
@@ -187,79 +195,38 @@ def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
 
 
 def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
-    """Read a target set off a minimum-degree recurrence witness.
+    """Read a target set off any recurrence witness y: effective, with x + y
+    recurrent.
 
-    The witness is first normalized: chips on cores and ports are rejected
-    outright (a minimum witness never needs them), then chips on each inner
-    vertex v_i are relocated onto outer vertices u_o whose port into v_i had
-    not yet fired in a canonical exactly-once game, lowest u first, taking
-    all of them when fewer than the chip count remain.  Every normalization
-    step re-checks recurrence, so a witness that is not actually of minimum
-    degree fails loudly instead of yielding a bogus set.  Forced vertices need
-    no chip (the gadget activates them), so a chip on one's outer vertex is
-    rejected, no chip is relocated onto one, and all of them are added to the
-    set read off the witness.
+    Every gadget vertex has an owner, the second field of its role: v for
+    v_i, v_c and v_o, and u for the port p_uv.  The set S read off is the
+    owners of the vertices that hold chips of y, plus the forced vertices.
+    Then |S| <= |supp y| + forced <= deg y + forced, so a minimum witness
+    gives a minimum target set, since min TSS = dist_rec + forced.
+
+    S is a target set.  With N = |V| + 2, take a game from x + y that fires
+    every vertex exactly once, and show by induction on its firing order
+    that the owner of each vertex it fires is in the activation closure A of
+    S.  A vertex holding chips of y has its owner in S.  A chip-free vertex
+    z has the slack of x, and fires only once its neighbours that fired
+    before it have sent that many chips:
+    - a port p_uv (slack N) only after u_o, the one neighbour sending N;
+    - a core v_c (slack N) only after v_i, for the same reason;
+    - an outer v_o (slack 1) only after v_c or some port p_vw, all owned
+      by v;
+    - an inner v_i (slack tau(v), or 0 when v is forced and so in S) only
+      after v_c or after tau(v) ports p_uv, owned by tau(v) neighbours u
+      of v, which then activate v.
+    A recurrent x + y fires every v_i, so A holds every source vertex.
     """
     y = validate_divisor(inst.gprime, y)
     if not is_effective(y):
         raise WitnessError("witness must be effective")
-    gp = inst.gprime
-    ok, trace = is_recurrent(gp, add(inst.x, y))
-    if not ok:
+    if not is_recurrent(inst.gprime, add(inst.x, y))[0]:
         raise WitnessError("x + y is not recurrent")
-    original_degree = sum(y)
-    work = list(y)
-    for z in sorted(inst.bullet):
-        if work[z]:
-            raise WitnessError(
-                f"chips on core/port vertex {z}: a minimum witness never needs them"
-            )
-    forced = _forced_vertices(inst.source, inst.tau)
-    for v in range(inst.source.n):
-        if work[inst.outer[v]] > 1:
-            raise WitnessError(
-                f"more than one chip on outer vertex of {v}: witness is not minimum"
-            )
-        if work[inst.outer[v]] and v in forced:
-            raise WitnessError(
-                f"chip on outer vertex of forced vertex {v}: a minimum witness never needs it"
-            )
-    source_nbrs = {
-        v: sorted(u for u, _m in inst.source.nbrs[v]) for v in range(inst.source.n)
-    }
-    for v in range(inst.source.n):
-        iv = inst.inner[v]
-        k = work[iv]
-        if k == 0:
-            continue
-        ok, trace = is_recurrent(gp, add(inst.x, work))
-        if not ok:
-            raise WitnessError("witness lost recurrence during normalization; not minimum")
-        position = {vertex: t for t, vertex in enumerate(trace.firing_order)}
-        pivot = position[iv]
-        late_ports = [
-            u for u in source_nbrs[v]
-            if u not in forced and position[inst.ports[(u, v)]] > pivot
-        ]
-        chosen = late_ports[:k]
-        work[iv] = 0
-        for u in chosen:
-            ov = inst.outer[u]
-            if work[ov] == 1:
-                raise WitnessError(
-                    f"relocation collides with an existing seed chip on vertex {u}: "
-                    "witness is not minimum"
-                )
-            work[ov] = 1
-    ok, _trace = is_recurrent(gp, add(inst.x, work))
-    if not ok:
-        raise WitnessError("normalized witness is not recurrent; input was not minimum")
-    members = tuple(v for v in range(inst.source.n) if work[inst.outer[v]] == 1)
-    if len(members) != original_degree:
-        raise WitnessError(
-            "normalization changed the witness degree; input was not minimum"
-        )
-    members = tuple(sorted(members + forced))
+    members = {int(inst.roles[z].split(":")[1]) for z, k in enumerate(y) if k}
+    members.update(_forced_vertices(inst.source, inst.tau))
+    members = tuple(sorted(members))
     if not is_target_set(inst.source, inst.tau, members):
         raise WitnessError("extracted seed set does not activate the whole source graph")
     return TargetSet(members)
@@ -274,22 +241,19 @@ def default_apex_multiplicity(g: Multigraph, f) -> int:
     return 2 * g.edge_count + negative + overshoot + 1
 
 
-def reduce_rec_to_nonhalt(
-    g: Multigraph, f, M: int | None = None, verify_bound: bool = False
-) -> RecToNonhaltInstance:
+def reduce_rec_to_nonhalt(g: Multigraph, f, M: int | None = None) -> RecToNonhaltInstance:
     """Build the apex gadget.
 
-    With verify_bound, a supplied M is checked against the exact requirement
-    M > dist_rec(G, f) + max(0, max(f - degree)), which solves a distance;
-    otherwise a supplied M is trusted.
+    A supplied M is checked against the exact requirement
+    M > dist_rec(G, f) + max(0, max(f - degree)), which solves a distance.
     """
     g.require_connected()
     f = validate_divisor(g, f)
     if M is None:
         M = default_apex_multiplicity(g, f)
-    elif not isinstance(M, int) or M < 1:
+    elif isinstance(M, bool) or not isinstance(M, int) or M < 1:
         raise GraphStructureError(f"apex multiplicity must be a positive integer, got {M!r}")
-    elif verify_bound:
+    else:
         overshoot = max(0, max(x - d for x, d in zip(f, g.degrees)))
         required = dist_rec(g, f).value + overshoot
         if M <= required:

@@ -54,22 +54,15 @@ class TargetSet:
         return len(self.members)
 
 
-def _activate(nbrs, tau, seed) -> list[int]:
-    """Activation order from the seed set; seeds start with slack 0."""
-    slack = list(tau)
-    for v in seed:
-        slack[v] = 0
-    return _cascade(nbrs, slack, bytearray(len(slack)), range(len(slack)))
-
-
 def activation_closure(g: Multigraph, tau, seed) -> frozenset[int]:
     """Least fixed point of threshold activation from the seed set.
 
     Vertices with threshold 0 activate on their own.  Monotone in the seed.
     """
-    tau = validate_thresholds(g, tau)
-    seed = _validate_seed(g, seed)
-    return frozenset(_activate(g.nbrs, tau, seed))
+    slack = list(validate_thresholds(g, tau))
+    for v in _validate_seed(g, seed):  # seeds start with slack 0
+        slack[v] = 0
+    return frozenset(_cascade(g.nbrs, slack, bytearray(g.n), range(g.n)))
 
 
 def is_target_set(g: Multigraph, tau, seed) -> bool:
@@ -91,19 +84,26 @@ def greedy_target_set(g: Multigraph, tau) -> TargetSet:
 
     Seeds every vertex that can never be neighbor-activated, then repeatedly
     seeds the unreached vertex with the largest remaining activation deficit
-    (lowest id on ties).
+    (lowest id on ties), tau(v) minus its active neighbors.  One cascade is
+    resumed from each new seed rather than rerun: the cascade lowers the
+    slack of a vertex by one for each neighbor that fires, and on a simple
+    graph that is one per active neighbor, so the slack an unreached vertex
+    is left with is its deficit.
     """
     tau = validate_thresholds(g, tau)
-    chosen = [v for v in range(g.n) if tau[v] > g.degrees[v]]
-    while True:
-        reached = frozenset(_activate(g.nbrs, tau, chosen))
-        if len(reached) == g.n:
-            return TargetSet(tuple(sorted(chosen)))
-        missing = [v for v in range(g.n) if v not in reached]
-        deficits = {
-            v: tau[v] - sum(1 for u, _m in g.nbrs[v] if u in reached) for v in missing
-        }
-        chosen.append(max(missing, key=lambda v: (deficits[v], -v)))
+    n = g.n
+    chosen = [v for v in range(n) if tau[v] > g.degrees[v]]
+    slack = list(tau)
+    for v in chosen:
+        slack[v] = 0
+    done = bytearray(n)
+    reached = len(_cascade(g.nbrs, slack, done, range(n)))
+    while reached < n:
+        v = max((u for u in range(n) if not done[u]), key=lambda u: (slack[u], -u))
+        chosen.append(v)
+        slack[v] = 0
+        reached += len(_cascade(g.nbrs, slack, done, (v,)))
+    return TargetSet(tuple(sorted(chosen)))
 
 
 def parse_thresholds(text: str, n: int | None = None) -> Thresholds:

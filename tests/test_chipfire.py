@@ -11,6 +11,7 @@ from chipfiring import (
     HALTING,
     HaltVerdict,
     IllegalFiringError,
+    InvalidVertexError,
     Multigraph,
     NON_HALTING,
     classify_halting,
@@ -186,6 +187,23 @@ def test_cycle_dipole_winnable_exactly_when_n_divides(n):
 def test_bool_chip_counts_rejected():
     with pytest.raises(GraphStructureError):
         classify_halting(K2, (False, 0))
+
+
+def test_bool_vertex_ids_rejected():
+    # a bool is an int subclass, refused as for divisors, seeds and thresholds
+    calls = [
+        lambda: K2.degree(True),
+        lambda: K2.neighbors(False),
+        lambda: K2.multiplicity(True, False),
+        lambda: K2.multiplicity(0, True),
+        lambda: fire(K2, (1, 0), True),
+        lambda: is_active(K2, (1, 0), False),
+        lambda: fire_sequence(K2, (1, 0), [True]),
+        lambda: fire_sequence(K2, (1, 0), [0, False], require_legal=False),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidVertexError):
+            call()
 
 
 def test_fire_sequence_examples():

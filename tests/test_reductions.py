@@ -11,6 +11,7 @@ from chipfiring import (
     dist_nonhalt,
     dist_rec,
     extract_target_set,
+    greedy_target_set,
     is_recurrent,
     is_target_set,
     lift_target_set,
@@ -32,6 +33,8 @@ from chipfiring.families import (
     random_divisor,
     threshold_assignments,
 )
+from chipfiring.reductions import _apex_gadget
+from test_tss import _random_simple_graph
 
 K2 = Multigraph(2, [(0, 1, 1)])
 C3 = cycle_graph(3)
@@ -122,9 +125,8 @@ class TestWitnessTransport:
         assert is_recurrent(inst.gprime, xplus(inst, y))[0]
         assert extract_target_set(inst, y).members == (0,)
         y = list(y)
-        y[inst.outer[0]] = 1
-        with pytest.raises(WitnessError):
-            extract_target_set(inst, tuple(y))  # a chip a minimum witness never needs
+        y[inst.outer[0]] = 1  # a chip a minimum witness never needs
+        assert extract_target_set(inst, tuple(y)).members == (0,)
 
     def test_extract_from_outer_witness(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
@@ -135,8 +137,8 @@ class TestWitnessTransport:
         assert is_target_set(K2, (1, 1), got.members)
 
     def test_extract_relocates_inner_chip(self):
-        # an alternative minimum witness puts its chip on an inner vertex;
-        # normalization moves it onto an outer seed
+        # an alternative minimum witness puts its chip on an inner vertex,
+        # read as a seed on the vertex that owns it
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
         y[inst.inner[0]] = 1
@@ -165,13 +167,15 @@ class TestWitnessTransport:
         with pytest.raises(WitnessError):
             extract_target_set(inst, tuple(y))
 
-    def test_extract_rejects_non_minimum(self):
-        # two chips on an outer vertex can only come from a non-minimum witness
+    def test_extract_reads_non_minimum_witness(self):
+        # two chips on an outer vertex can only come from a non-minimum
+        # witness; each vertex holding chips gives its owner
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
         y[inst.outer[0]] = 2
-        with pytest.raises(WitnessError):
-            extract_target_set(inst, tuple(y))
+        assert extract_target_set(inst, tuple(y)).members == (0,)
+        y[inst.ports[(1, 0)]] = 1
+        assert extract_target_set(inst, tuple(y)).members == (0, 1)
 
     def test_round_trip_sizes(self):
         for g, tau in [(K2, (1, 1)), (C3, (2, 2, 2)), (C3, (1, 2, 1))]:
@@ -180,6 +184,65 @@ class TestWitnessTransport:
             y = lift_target_set(inst, best)
             back = extract_target_set(inst, y)
             assert back.size == best.size
+
+
+def unfired(gp, chips):
+    """Vertices an exactly-once game from chips never fires, by rounds,
+    written independently of the cascade."""
+    fired = set()
+    grew = True
+    while grew:
+        grew = False
+        for z in range(gp.n):
+            if z not in fired and chips[z] + sum(m for u, m in gp.nbrs[z] if u in fired) >= gp.degrees[z]:
+                fired.add(z)
+                grew = True
+    return [z for z in range(gp.n) if z not in fired]
+
+
+def random_witness(rng, inst):
+    """A random recurrence witness: a few piles of 1, 2, N - 1 or N chips on
+    any gadget vertices, topped up with such piles on unfired vertices until
+    x + y is recurrent."""
+    gp, piles = inst.gprime, (1, 2, inst.N - 1, inst.N)
+    y = [0] * gp.n
+    for _ in range(rng.randint(0, 3)):
+        y[rng.randrange(gp.n)] += rng.choice(piles)
+    while left := unfired(gp, xplus(inst, y)):
+        y[rng.choice(left)] += rng.choice(piles)
+    return tuple(y)
+
+
+class TestTotalExtraction:
+    def test_every_witness_gives_a_target_set_exhaustive(self):
+        # 2-4 vertices, tau in [0, deg + 1], forced vertices included
+        rng = Random(12)
+        bullet_chips = stacked = 0
+        for g in connected_simple_graphs([2, 3, 4]):
+            for tau in threshold_assignments(g, low=0, high_offset=1):
+                inst = reduce_tss_to_rec(g, tau)
+                forced = {v for v in range(g.n) if tau[v] > g.degrees[v]}
+                best = min_target_set(g, tau).size
+                assert extract_target_set(inst, dist_rec(inst.gprime, inst.x).witness).size == best
+                for _ in range(3):
+                    y = random_witness(rng, inst)
+                    got = extract_target_set(inst, y).members
+                    support = sum(1 for k in y if k)
+                    assert is_target_set(g, tau, got), (g.edges(), tau, y)
+                    assert forced <= set(got) and len(got) <= support + len(forced)
+                    bullet_chips += any(y[z] for z in inst.bullet)
+                    stacked += max(y) > 1
+        assert bullet_chips and stacked
+
+    def test_greedy_round_trip_at_scale(self):
+        # polynomial all the way: no exponential solver runs
+        rng = Random(5)
+        for n in (50, 120, 300, 500):
+            g = _random_simple_graph(rng, n)
+            tau = tuple(rng.randint(0, d + 1) for d in g.degrees)
+            greedy = greedy_target_set(g, tau)
+            inst = reduce_tss_to_rec(g, tau)
+            assert extract_target_set(inst, lift_target_set(inst, greedy)) == greedy
 
 
 class TestApexGadget:
@@ -210,17 +273,21 @@ class TestApexGadget:
 
     def test_supplied_m_verified(self):
         with pytest.raises(WitnessError):
-            reduce_rec_to_nonhalt(K2, (0, 0), M=1, verify_bound=True)
-        inst = reduce_rec_to_nonhalt(K2, (0, 0), M=2, verify_bound=True)
+            reduce_rec_to_nonhalt(K2, (0, 0), M=1)
+        inst = reduce_rec_to_nonhalt(K2, (0, 0), M=2)
         assert dist_nonhalt(inst.gpp, inst.fpp).value == 1
 
-    def test_supplied_m_trusted_without_verification(self):
-        inst = reduce_rec_to_nonhalt(K2, (0, 0), M=1)
-        assert inst.M == 1
+    def test_supplied_m_below_bound_rejected(self):
+        # dist_rec(K2, (0, 0)) = 1, so M = 1 is too small
+        with pytest.raises(WitnessError, match="must exceed 1"):
+            reduce_rec_to_nonhalt(K2, (0, 0), M=1)
 
     def test_bad_m_rejected(self):
         with pytest.raises(GraphStructureError):
             reduce_rec_to_nonhalt(K2, (0, 0), M=0)
+        assert reduce_rec_to_nonhalt(K2, (1, 1), M=1).M == 1  # recurrent already
+        with pytest.raises(GraphStructureError):
+            reduce_rec_to_nonhalt(K2, (1, 1), M=True)
 
 
 class TestComposedReduction:
@@ -286,15 +353,17 @@ class TestGadgetsMatchEdgeListBuild:
         assert graphs[0].n == 1
         for g in graphs:
             refs = {}
+            roles = tuple(f"orig:{v}" for v in range(g.n)) + ("new",)
             for f in divisors_in_box(g, -1, 0):
-                for M in (None, 2):
-                    inst = reduce_rec_to_nonhalt(g, f, M)
+                # a supplied M is checked by solving dist_rec: build M = 2 directly
+                for inst in (reduce_rec_to_nonhalt(g, f), _apex_gadget(g, f, 2, roles)):
                     if inst.M not in refs:
                         refs[inst.M] = Multigraph(
                             g.n + 1, g.edges() + [(v, g.n, inst.M) for v in range(g.n)]
                         )
                     assert_same_graph(inst.gpp, refs[inst.M])
                     assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
+                    assert inst.roles == roles
 
 
 class TestSubdivision:

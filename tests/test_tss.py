@@ -199,6 +199,32 @@ def test_min_target_set_is_first_subset_of_least_size_on_larger_graphs(seed, spa
         assert min_target_set(g, tau).members == _first_least_target_set(g, tau), (g.edges(), tau)
 
 
+def _greedy_reference(g, tau):
+    # the greedy rule recomputed from scratch: the closure of all seeds so
+    # far, then the deficit of every unreached vertex, after every seed
+    chosen = [v for v in range(g.n) if tau[v] > g.degrees[v]]
+    while True:
+        reached = activation_closure(g, tau, chosen)
+        if len(reached) == g.n:
+            return tuple(sorted(chosen))
+        missing = [v for v in range(g.n) if v not in reached]
+        deficits = {
+            v: tau[v] - sum(1 for u, _m in g.neighbors(v) if u in reached) for v in missing
+        }
+        chosen.append(max(missing, key=lambda v: (deficits[v], -v)))
+
+
+def test_greedy_matches_from_scratch_reference():
+    for g in _TSS_GRAPHS:
+        for tau in threshold_assignments(g, low=0, high_offset=1):
+            assert greedy_target_set(g, tau).members == _greedy_reference(g, tau), (g.edges(), tau)
+    rng = Random(7)
+    for _ in range(8):
+        g = _random_simple_graph(rng, rng.randint(50, 500))
+        tau = tuple(rng.randint(0, d + 1) for d in g.degrees)
+        assert greedy_target_set(g, tau).members == _greedy_reference(g, tau)
+
+
 def test_cycle_needs_alternating_seeds():
     c4 = cycle_graph(4)
     assert min_target_set(c4, (2, 2, 2, 2)).members == (0, 2)
