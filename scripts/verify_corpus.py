@@ -62,7 +62,7 @@ def run_directory(directory: Path, tally: Tally) -> None:
             print(f"skipping {gpath.name}: no matching .thr file", file=sys.stderr)
             continue
         g = parse_graph(gpath.read_text())
-        tally.check(g, parse_thresholds(tpath.read_text(), g.n))
+        tally.check(g, parse_thresholds(tpath.read_text()))
 
 
 def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:

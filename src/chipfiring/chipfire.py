@@ -83,7 +83,6 @@ is non-halting when the count is >= 0 and halting otherwise.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -92,7 +91,7 @@ from operator import mul
 from random import Random
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _decode_json, _int_line, _is_int
 
 Divisor = tuple[int, ...]
 
@@ -105,8 +104,7 @@ def validate_divisor(g: Multigraph, f) -> Divisor:
     if len(f) != g.n:
         raise GraphStructureError(f"divisor has {len(f)} entries for a graph on {g.n} vertices")
     for x in f:
-        # a bool is an int subclass: refuse it, and pass plain ints at once
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+        if type(x) is not int and not _is_int(x):
             raise GraphStructureError(f"divisor entries must be integers, got {x!r}")
     return f
 
@@ -428,7 +426,7 @@ def _reduce(degs, nbrs, f) -> list[int]:
     shrinks; below the edge count a solve costs about as much as the
     shorter game saves."""
     chips = list(f)
-    size = max(map(abs, chips[1:]))
+    size = max(map(abs, chips[1:]), default=0)
     edges = sum(degs) // 2
     while size > edges:
         shift = max(0, size.bit_length() - 60)  # in float range, squares too
@@ -472,32 +470,18 @@ def is_winnable(g: Multigraph, f) -> bool:
     return _play(degs, g.nbrs, slack)[0]
 
 
-def parse_divisor(text: str, n: int | None = None) -> Divisor:
-    """Parse a divisor: one line of space-separated integers, or {"chips": [...]}."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON divisor: {exc}") from None
-        if not isinstance(obj, dict) or "chips" not in obj or not isinstance(obj["chips"], list):
+def parse_divisor(text: str) -> Divisor:
+    """Parse a divisor: one line of space-separated integers, blank lines and
+    '#' comments ignored, or {"chips": [...]}.  validate_divisor checks it
+    against a graph."""
+    if text.lstrip().startswith("{"):
+        obj = _decode_json(text, "divisor")
+        if not isinstance(obj, dict) or not isinstance(obj.get("chips"), list):
             raise FormatError('JSON divisor must be an object with a "chips" list')
-        values = obj["chips"]
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+        if not all(map(_is_int, obj["chips"])):
             raise FormatError("divisor entries must be integers")
-        f = tuple(values)
-    else:
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if len(lines) != 1:
-            raise FormatError("divisor file must contain exactly one line of integers")
-        try:
-            f = tuple(int(p) for p in lines[0].split())
-        except ValueError:
-            raise FormatError(f"divisor line must contain integers, got {lines[0]!r}") from None
-    if n is not None and len(f) != n:
-        raise FormatError(f"divisor has {len(f)} entries, expected {n}")
-    return f
+        return tuple(obj["chips"])
+    return _int_line(text, "divisor")
 
 
 def divisor_to_text(f) -> str:

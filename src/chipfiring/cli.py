@@ -28,7 +28,7 @@ GUARDS = {
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChipFiringError(f"cannot read {path}: {exc}") from None
 
 
@@ -43,11 +43,11 @@ def _load_graph(args, path: str, kind: str) -> Multigraph:
 
 
 def _load_divisor(path: str, g: Multigraph):
-    return chipfire.validate_divisor(g, chipfire.parse_divisor(_read(path), g.n))
+    return chipfire.validate_divisor(g, chipfire.parse_divisor(_read(path)))
 
 
 def _load_thresholds(path: str, g: Multigraph):
-    return tss.validate_thresholds(g, tss.parse_thresholds(_read(path), g.n))
+    return tss.validate_thresholds(g, tss.parse_thresholds(_read(path)))
 
 
 def _check_guard(args, n: int, kind: str) -> None:

@@ -10,8 +10,13 @@ stabilizing) and skipping candidates that activate nothing.  Both are
 exponential by design.  Raising every vertex to its degree reaches a
 recurrent, hence non-halting, divisor, which bounds both distances.
 
-`dist_nonhalt` starts at level |E| - deg f: f + g halts exactly when its
-winnability complement deg - 1 - f - g is winnable, and below that level the
+f + g halts exactly when its winnability complement deg - 1 - f - g is
+winnable, and winnability depends only on the linear equivalence class.  So
+whether f + g halts depends only on the class of f: every representative of
+f has the same distance to non-halting and the same witness.  `dist_nonhalt`
+therefore plays from the representative `chipfire._reduce` finds, whose
+entries off vertex 0 are at most the edge count, so its games do not grow with
+the chip count of f.  It starts at level |E| - deg f: below that level the
 complement has degree at least the genus, so it is winnable (Riemann-Roch)
 and every skipped level is empty.
 
@@ -28,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chipfire import Divisor, _least_top_up, _play, deg, validate_divisor, winnability_complement
+from .chipfire import (
+    Divisor, _least_top_up, _play, _reduce, deg, validate_divisor, winnability_complement,
+)
 from .multigraph import Multigraph
 
 
@@ -78,6 +85,7 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     n = g.n
     degs = g.degrees
     nbrs = g.nbrs
+    f = _reduce(degs, nbrs, f)  # an equivalent f: same value, same witness
     slack = [d - x for d, x in zip(degs, f)]
     if not _play(degs, nbrs, slack)[0]:
         return DistanceResult(0, (0,) * n)

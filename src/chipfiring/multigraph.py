@@ -14,6 +14,10 @@ degrees and edge count, so the stored format is known here only.
 `Multigraph(n, edges)` validates the edge list into such maps and hands
 them on; gadget constructions whose maps are valid by construction reach it
 through `Multigraph._from_rows`, skipping the per-edge checks.
+
+Every input file is read through the helpers at the end of this module, and
+every integer input is checked by `_is_int`, an int that is not a bool, so
+a malformed file or value raises a typed error wherever it enters.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class Multigraph:
     __slots__ = ("n", "degrees", "nbrs", "edge_count", "_connected", "_simple")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             raise GraphStructureError(f"vertex count must be a positive integer, got {n!r}")
         rows = [{} for _ in range(n)]
         for item in edges:
@@ -54,18 +58,17 @@ class Multigraph:
                 ) from None
             if not (type(u) is int and type(v) is int and type(k) is int
                     and 0 <= u < n and 0 <= v < n and u != v and k >= 1):
-                # a suspect edge: find its error, or store bools as the ints they equal
-                if not (isinstance(u, int) and isinstance(v, int)):
+                # a suspect edge: find its error
+                if not (_is_int(u) and _is_int(v)):
                     raise GraphStructureError(f"edge endpoints must be integers, got {item!r}")
                 if not (0 <= u < n and 0 <= v < n):
                     raise InvalidVertexError(f"edge endpoint out of range [0, {n}) in {item!r}")
                 if u == v:
                     raise GraphStructureError(f"self-loop at vertex {u} is not allowed")
-                if not isinstance(k, int) or k < 1:
+                if not _is_int(k) or k < 1:
                     raise GraphStructureError(
                         f"edge multiplicity must be a positive integer, got {item!r}"
                     )
-                u, v, k = int(u), int(v), int(k)
             row = rows[u]
             row[v] = row.get(v, 0) + k
             row = rows[v]
@@ -90,9 +93,7 @@ class Multigraph:
         return g
 
     def _check_vertex(self, v: int) -> None:
-        # a bool is an int subclass: refuse it, and pass plain ints at once
-        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))
-                or not 0 <= v < self.n):
+        if (type(v) is not int and not _is_int(v)) or not 0 <= v < self.n:
             raise InvalidVertexError(f"vertex {v!r} out of range [0, {self.n})")
 
     def degree(self, v: int) -> int:
@@ -183,15 +184,9 @@ def parse_graph(text: str) -> Multigraph:
     and '#' comments are ignored.  JSON: {"n": ..., "edges": [[u, v, m], ...]}.
     Repeated pairs accumulate their multiplicities.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON graph: {exc}") from None
-        return graph_from_json(obj)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if text.lstrip().startswith("{"):
+        return graph_from_json(_decode_json(text, "graph"))
+    lines = _data_lines(text)
     if not lines:
         raise FormatError("empty graph file")
     try:
@@ -208,46 +203,66 @@ def parse_graph(text: str) -> Multigraph:
         except ValueError:
             raise FormatError(f"edge line must contain integers, got {ln!r}") from None
         edges.append((u, v, m))
-    try:
-        return Multigraph(n, edges)
-    except (GraphStructureError, InvalidVertexError) as exc:
-        raise FormatError(str(exc)) from None
+    return graph_from_json({"n": n, "edges": edges})
 
 
 def _declared_vertex_count(text: str) -> int | None:
     """The vertex count a graph file declares, read without building the
     graph: the first line of the text format, or "n" of the JSON format.
-    None when the file declares none; parse_graph then reports why."""
+    None when the file declares none; parse_graph then reports why.  JSON
+    that does not decode raises the FormatError parse_graph would."""
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            return None
+        obj = _decode_json(text, "graph")
         n = obj.get("n") if isinstance(obj, dict) else None
-        return n if isinstance(n, int) else None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            try:
-                return int(ln)
-            except ValueError:
-                return None
-    return None
+    else:
+        lines = _data_lines(text)
+        try:
+            n = int(lines[0]) if lines else None
+        except ValueError:
+            n = None
+    return n if _is_int(n) else None
 
 
 def graph_from_json(obj: object) -> Multigraph:
+    """The graph of a decoded JSON graph object, {"n": ..., "edges": [...]};
+    every fault is reported as a FormatError."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise FormatError('JSON graph must be an object with "n" and "edges"')
-    n = obj["n"]
-    edges = obj["edges"]
-    if not isinstance(edges, list):
+    if not isinstance(obj["edges"], list):
         raise FormatError('"edges" must be a list of [u, v, m] triples')
-    triples = []
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 3:
-            raise FormatError(f"edge entry must be a [u, v, m] triple, got {e!r}")
-        triples.append(tuple(e))
     try:
-        return Multigraph(n, triples)
+        return Multigraph(obj["n"], obj["edges"])
     except (GraphStructureError, InvalidVertexError) as exc:
         raise FormatError(str(exc)) from None
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool, which Python counts as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of an input file, without blank lines and '#' comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def _decode_json(text: str, what: str):
+    """json.loads, with every decode failure a FormatError: malformed JSON,
+    an integer beyond Python's digit limit (both ValueError) or nesting
+    beyond the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON {what}: {exc}") from None
+
+
+def _int_line(text: str, what: str) -> tuple[int, ...]:
+    """The one line of space-separated integers of a divisor or thresholds
+    file; blank lines and '#' comments are ignored."""
+    lines = _data_lines(text)
+    if len(lines) != 1:
+        raise FormatError(f"{what} file must contain exactly one line of integers")
+    try:
+        return tuple(int(p) for p in lines[0].split())
+    except ValueError:
+        raise FormatError(f"{what} line must contain integers, got {lines[0]!r}") from None

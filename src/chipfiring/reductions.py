@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from .chipfire import add, is_effective, is_recurrent, validate_divisor
 from .distance import dist_rec
 from .errors import GraphStructureError, WitnessError
-from .multigraph import Multigraph
-from .tss import TargetSet, is_target_set, validate_thresholds
+from .multigraph import Multigraph, _is_int
+from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ class RecToNonhaltInstance:
     roles: tuple[str, ...]
     source: Multigraph
     f: tuple[int, ...]
-
-
-def _forced_vertices(g: Multigraph, tau) -> tuple[int, ...]:
-    """Vertices whose threshold exceeds their degree: every target set holds them."""
-    return tuple(v for v in range(g.n) if tau[v] > g.degrees[v])
 
 
 def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
@@ -251,7 +246,7 @@ def reduce_rec_to_nonhalt(g: Multigraph, f, M: int | None = None) -> RecToNonhal
     f = validate_divisor(g, f)
     if M is None:
         M = default_apex_multiplicity(g, f)
-    elif isinstance(M, bool) or not isinstance(M, int) or M < 1:
+    elif not _is_int(M) or M < 1:
         raise GraphStructureError(f"apex multiplicity must be a positive integer, got {M!r}")
     else:
         overshoot = max(0, max(x - d for x, d in zip(f, g.degrees)))

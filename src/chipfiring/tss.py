@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chipfire import _cascade, _least_top_up
-from .errors import FormatError, GraphStructureError, InvalidVertexError
-from .multigraph import Multigraph
+from .errors import GraphStructureError, InvalidVertexError
+from .multigraph import Multigraph, _int_line, _is_int
 
 Thresholds = tuple[int, ...]
 
@@ -28,7 +28,7 @@ def validate_thresholds(g: Multigraph, tau) -> Thresholds:
     if len(tau) != g.n:
         raise GraphStructureError(f"threshold vector has {len(tau)} entries for {g.n} vertices")
     for v, t in enumerate(tau):
-        if (type(t) is not int and (isinstance(t, bool) or not isinstance(t, int))) or t < 0:
+        if (type(t) is not int and not _is_int(t)) or t < 0:
             raise GraphStructureError(f"threshold at vertex {v} must be a nonnegative integer, got {t!r}")
         if t > g.degrees[v] + 1:
             raise GraphStructureError(
@@ -37,10 +37,15 @@ def validate_thresholds(g: Multigraph, tau) -> Thresholds:
     return tau
 
 
+def _forced_vertices(g: Multigraph, tau) -> tuple[int, ...]:
+    """Vertices whose threshold exceeds their degree: every target set holds them."""
+    return tuple(v for v in range(g.n) if tau[v] > g.degrees[v])
+
+
 def _validate_seed(g: Multigraph, seed) -> tuple[int, ...]:
     seed = tuple(seed)
     for v in seed:  # before the set, which would merge True into 1
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
+        if (type(v) is not int and not _is_int(v)) or not 0 <= v < g.n:
             raise InvalidVertexError(f"seed vertex {v!r} out of range [0, {g.n})")
     return tuple(sorted(set(seed)))
 
@@ -92,7 +97,7 @@ def greedy_target_set(g: Multigraph, tau) -> TargetSet:
     """
     tau = validate_thresholds(g, tau)
     n = g.n
-    chosen = [v for v in range(n) if tau[v] > g.degrees[v]]
+    chosen = list(_forced_vertices(g, tau))
     slack = list(tau)
     for v in chosen:
         slack[v] = 0
@@ -106,18 +111,7 @@ def greedy_target_set(g: Multigraph, tau) -> TargetSet:
     return TargetSet(tuple(sorted(chosen)))
 
 
-def parse_thresholds(text: str, n: int | None = None) -> Thresholds:
-    """One line of space-separated nonnegative integers."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) != 1:
-        raise FormatError("thresholds file must contain exactly one line of integers")
-    try:
-        tau = tuple(int(p) for p in lines[0].split())
-    except ValueError:
-        raise FormatError(f"thresholds line must contain integers, got {lines[0]!r}") from None
-    if any(t < 0 for t in tau):
-        raise FormatError("thresholds must be nonnegative")
-    if n is not None and len(tau) != n:
-        raise FormatError(f"thresholds vector has {len(tau)} entries, expected {n}")
-    return tau
+def parse_thresholds(text: str) -> Thresholds:
+    """One line of space-separated integers, blank lines and '#' comments
+    ignored; validate_thresholds checks them against a graph."""
+    return _int_line(text, "thresholds")

@@ -43,7 +43,22 @@ FILES = {
     "bool.graph": '{"n": true, "edges": []}\n',
     "c3.thr": "1 1 1\n",
     "k2.thr": "1 1\n",
+    "bool-edge.graph": '{"n": 2, "edges": [[0, true, 1]]}\n',
+    # beyond Python's 4300-digit limit on decoding an int
+    "long.graph": '{"n": 2, "edges": [[0, 1, %s]]}\n' % ("1" * 5000),
+    "long.div": '{"chips": [%s, 0]}\n' % ("1" * 5000),
+    "deep.graph": '{"n": ' + "[" * 100_000,
+    "ff.graph": b"2\n0 1 1\xff\n",
+    "ff.div": b"1 \xff\n",
+    "ff.thr": b"1 \xff\n",
 }
+
+
+def _json_error(name):
+    try:
+        json.loads(FILES[name])
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
 
 J = ("--format", "json")
 
@@ -189,7 +204,10 @@ DISAGREE = [
 @pytest.fixture
 def run(tmp_path, monkeypatch, capsys):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
 
     def go(argv):
@@ -241,10 +259,44 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
             ("halting", "bool.graph", "zero2.div", *J),
             "error: vertex count must be a positive integer, got True\n",
         ),
+        (
+            ("halting", "bool-edge.graph", "zero2.div", *J),
+            "error: edge endpoints must be integers, got [0, True, 1]\n",
+        ),
+        (
+            ("halting", "long.graph", "zero2.div", *J),
+            f"error: invalid JSON graph: {_json_error('long.graph')}\n",
+        ),
+        (
+            ("halting", "k2.graph", "long.div", *J),
+            f"error: invalid JSON divisor: {_json_error('long.div')}\n",
+        ),
+        (
+            ("halting", "deep.graph", "zero2.div", *J),
+            f"error: invalid JSON graph: {_json_error('deep.graph')}\n",
+        ),
+        (
+            ("halting", "ff.graph", "zero2.div", *J),
+            "error: cannot read ff.graph: "
+            "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+        ),
+        (
+            ("halting", "k2.graph", "ff.div", *J),
+            "error: cannot read ff.div: "
+            "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
+        ),
+        (
+            ("tss", "k2.graph", "ff.thr", *J),
+            "error: cannot read ff.thr: "
+            "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
+        ),
     ],
-    ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count"],
+    ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
+         "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
+         "non-utf8-divisor", "non-utf8-thresholds"],
 )
 def test_input_errors_exit_2(run, argv, stderr):
+    # a typed error, not a traceback, which would exit 1
     assert run(argv) == (2, "", stderr)
 
 
@@ -350,6 +402,17 @@ def test_winnable_answers_a_billion_chips_within_seconds(tmp_path, a, out):
     (tmp_path / "x.div").write_text(divisor_to_text((a, -a) + (0,) * 14))
     proc = _run_capped(tmp_path, ["winnable", "g.graph", "x.div", *J], timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"winnable": {out}}}\n', "")
+
+
+@pytest.mark.parametrize("a, out", [(10**9, "0"), (10**9 + 8, "-1")], ids=["16-divides", "16-does-not"])
+def test_rank_answers_a_billion_chips_within_seconds(tmp_path, a, out):
+    # degree 0 on C16 is searched, as dist_nonhalt of the complement; halting
+    # depends only on the class, so the search plays from a reduced equivalent
+    # of (a, -a, 0, ...) instead of moving the chips one firing at a time
+    (tmp_path / "g.graph").write_text(C16)
+    (tmp_path / "x.div").write_text(divisor_to_text((a, -a) + (0,) * 14))
+    proc = _run_capped(tmp_path, ["rank", "g.graph", "x.div", *J], timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"rank": {out}}}\n', "")
 
 
 @pytest.mark.parametrize("n", [12, 16])

@@ -164,6 +164,23 @@ def test_distance_monotone_under_addition(gf, eseed):
     assert dist_rec(g, bumped).value <= dist_rec(g, f).value
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+def test_distance_and_rank_depend_only_on_the_class(seed):
+    # dist_nonhalt plays from a reduced equivalent of f: any f - L x, here
+    # with up to a million firings per vertex, has the same value and witness
+    rng = Random(seed)
+    g = random_connected_multigraph(rng, max_n=6, max_extra_edges=3)
+    f = random_divisor(rng, g, low=-2, high_offset=0)
+    moved = list(f)
+    for v in g.vertices():
+        x = rng.randint(-10**6, 10**6)
+        moved[v] -= g.degrees[v] * x
+        for u, m in g.nbrs[v]:
+            moved[u] += m * x
+    assert dist_nonhalt(g, moved) == dist_nonhalt(g, f)
+    assert rank(g, moved) == rank(g, f)
+
+
 @given(instances)
 def test_rank_nonnegative_iff_winnable(gf):
     g, f = gf

@@ -14,6 +14,7 @@ from chipfiring import (
     graph_to_text,
     parse_graph,
 )
+from chipfiring.chipfire import divisor_to_json, divisor_to_text, parse_divisor
 from chipfiring.families import (
     connected_simple_graphs,
     cycle_graph,
@@ -22,6 +23,7 @@ from chipfiring.families import (
     star_graph,
     two_vertex_bundle,
 )
+from chipfiring.tss import parse_thresholds
 
 K2 = Multigraph(2, [(0, 1, 1)])
 C3 = cycle_graph(3)
@@ -145,14 +147,12 @@ def test_bad_edge_error_type_and_message(edge, error, message):
     assert type(info.value) is error
 
 
-def test_bool_endpoint_and_multiplicity_stored_as_ints():
-    g = Multigraph(2, [(True, False, True), (0, 1, 2)])
-    assert g.nbrs == (((1, 3),), ((0, 3),))
-    assert all(type(x) is int for row in g.nbrs for pair in row for x in pair)
-    assert g.edges() == [(0, 1, 3)]
-    h = Multigraph(2, [(False, True, True)])
-    assert all(type(x) is int for x in h.edges()[0] + h.degrees)
-    assert repr(h) == "Multigraph(n=2, edges=[(0, 1, 1)])"
+def test_bool_endpoint_and_multiplicity_rejected():
+    # a bool is an int subclass, refused here as for vertices, seeds and divisors
+    for edge, what in [((True, False, 1), "endpoints must be integers"),
+                       ((0, 1, True), "multiplicity must be a positive integer")]:
+        with pytest.raises(GraphStructureError, match=what):
+            Multigraph(2, [(0, 1, 2), edge])
 
 
 @st.composite
@@ -248,6 +248,52 @@ def test_parse_errors():
         parse_graph('{"n": 2}')
     with pytest.raises(FormatError):
         parse_graph('{"n": 2, "edges": [[0, 0, 1]]}')
+
+
+@given(st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=8))
+def test_divisor_and_thresholds_round_trip(vector):
+    f = tuple(vector)
+    assert parse_divisor(divisor_to_text(f)) == f
+    assert parse_divisor(json.dumps(divisor_to_json(f))) == f
+    assert parse_thresholds(divisor_to_text(f)) == f
+
+
+@pytest.mark.parametrize("parse", [parse_divisor, parse_thresholds])
+def test_vector_line_with_comments_and_blank_lines(parse):
+    # no length or sign check here: validate_divisor and validate_thresholds
+    # check a vector against its graph
+    assert parse("# a comment\n\n  2 -1 0  \n# another\n\n") == (2, -1, 0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "divisor file must contain exactly one line of integers"),
+    ("1 2\n3 4\n", "divisor file must contain exactly one line of integers"),
+    ("1 x 0\n", "divisor line must contain integers, got '1 x 0'"),
+    ("1 2.0\n", "divisor line must contain integers, got '1 2.0'"),
+    ('{"chips": [1, 2', "invalid JSON divisor: "),
+    ('{"chips": [1, 2]} x', "invalid JSON divisor: Extra data"),
+    ('{"chips": [%s]}' % ("1" * 5000), "invalid JSON divisor: Exceeds the limit"),
+    ('{"chips": ' + "[" * 100_000, "invalid JSON divisor: maximum recursion depth"),
+    ('{"chips": 3}', 'JSON divisor must be an object with a "chips" list'),
+    ('{"values": [1]}', 'JSON divisor must be an object with a "chips" list'),
+    ('{"chips": [1, true]}', "divisor entries must be integers"),
+    ('{"chips": [1, 2.5]}', "divisor entries must be integers"),
+], ids=["empty", "two-lines", "word", "float", "truncated-json", "extra-data",
+        "long-int", "deep-json", "chips-not-list", "no-chips", "bool", "json-float"])
+def test_parse_divisor_errors(text, message):
+    with pytest.raises(FormatError, match="^" + re.escape(message)):
+        parse_divisor(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n", "thresholds file must contain exactly one line of integers"),
+    ("1 1\n1\n", "thresholds file must contain exactly one line of integers"),
+    ("1 one\n", "thresholds line must contain integers, got '1 one'"),
+    ('{"thresholds": [1]}', "thresholds line must contain integers"),
+], ids=["comment-only", "two-lines", "word", "json"])
+def test_parse_thresholds_errors(text, message):
+    with pytest.raises(FormatError, match="^" + re.escape(message)):
+        parse_thresholds(text)
 
 
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)])
