@@ -3,8 +3,8 @@
 
 Draws random connected multigraphs and random divisors, computes the rank
 both ways, and reports any disagreement.  Useful for longer soak runs beyond
-the exhaustive acceptance family.  The summary counts trials per regime of
-the pipeline (negative degree, closed form, dual, searched; see
+the exhaustive acceptance family.  The summary counts trials per branch of
+the pipeline's `rank` (negative degree, Riemann-Roch, searched; see
 `chipfiring.distance`), so a run shows how much of it reached the search.
 
 Example:
@@ -25,7 +25,7 @@ from chipfiring.families import random_connected_multigraph, random_divisor
 from chipfiring.multigraph import graph_to_text
 from chipfiring.oracles import rank_definitional
 
-REGIMES = ("negative degree", "closed form", "dual", "searched")
+REGIMES = ("negative degree", "Riemann-Roch", "searched")
 
 
 def _regime(g, f) -> str:
@@ -33,10 +33,8 @@ def _regime(g, f) -> str:
     d, genus = sum(f), g.genus()
     if d < 0:
         return "negative degree"
-    if d > 2 * genus - 2:
-        return "closed form"
     if d > genus - 1:
-        return "dual"
+        return "Riemann-Roch"
     return "searched"
 
 

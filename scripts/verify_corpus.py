@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Run the full reduction-chain verifier over a corpus of instances.
 
-Either scans a directory of paired files (x.graph with x.thr) or generates
-the exhaustive family of small simple connected graphs with every threshold
-assignment in a range.  Emits one JSON line per checked quantity, so the
-output can be filtered with standard tools (e.g. jq 'select(.agree|not)'),
-and ends with one summary line on stderr: instances checked, disagreements
-per quantity and the slowest instance.
+Generates the exhaustive family of small simple connected graphs with every
+threshold assignment in a range.  Emits one JSON line per checked quantity,
+so the output can be filtered with standard tools (e.g. jq
+'select(.agree|not)'), and ends with one summary line on stderr: instances
+checked, disagreements per quantity and the slowest instance.  A directory
+of paired files (x.graph with x.thr) is checked by the CLI, which prints the
+same JSON lines.
 
 Example:
     python3 scripts/verify_corpus.py --family 3 --max-tau-offset 0
-    python3 scripts/verify_corpus.py --dir instances/ > reports.jsonl
+    chipfiring verify-chain instances/ --format json > reports.jsonl
 """
 
 import argparse
@@ -22,9 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chipfiring.families import connected_simple_graphs, threshold_assignments
-from chipfiring.multigraph import parse_graph
 from chipfiring.oracles import verify_reduction_chain
-from chipfiring.tss import parse_thresholds
 
 
 class Tally:
@@ -55,16 +54,6 @@ class Tally:
                 f"slowest instance {fingerprint} took {seconds:.3f} s")
 
 
-def run_directory(directory: Path, tally: Tally) -> None:
-    for gpath in sorted(directory.glob("*.graph")):
-        tpath = gpath.with_suffix(".thr")
-        if not tpath.exists():
-            print(f"skipping {gpath.name}: no matching .thr file", file=sys.stderr)
-            continue
-        g = parse_graph(gpath.read_text())
-        tally.check(g, parse_thresholds(tpath.read_text()))
-
-
 def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
     for g in connected_simple_graphs(range(2, max_n + 1)):
         for tau in threshold_assignments(g, low=tau_low, high_offset=tau_offset):
@@ -73,22 +62,17 @@ def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dir", type=Path, help="directory of *.graph/*.thr pairs")
-    group.add_argument("--family", type=int, metavar="N",
-                       help="exhaustive simple connected graphs with 2..N vertices")
+    parser.add_argument("--family", type=int, metavar="N", required=True,
+                        help="exhaustive simple connected graphs with 2..N vertices")
     parser.add_argument("--min-tau", type=int, default=1)
     parser.add_argument("--max-tau-offset", type=int, default=0,
                         help="thresholds range up to degree + OFFSET "
                              "(offset 1 adds the forced vertices, tau = deg + 1)")
     args = parser.parse_args()
+    if args.family > 4:
+        parser.error("family sizes above 4 are far beyond desk scale")
     tally = Tally()
-    if args.dir is not None:
-        run_directory(args.dir, tally)
-    else:
-        if args.family > 4:
-            parser.error("family sizes above 4 are far beyond desk scale")
-        run_family(args.family, args.min_tau, args.max_tau_offset, tally)
+    run_family(args.family, args.min_tau, args.max_tau_offset, tally)
     print(tally.summary(), file=sys.stderr)
     return 1 if tally.bad() else 0
 

@@ -16,7 +16,7 @@ from random import Random
 
 from . import chipfire, distance, multigraph, oracles, reductions, tss
 from .errors import ChipFiringError
-from .multigraph import Multigraph, graph_to_json, graph_to_text, parse_graph
+from .multigraph import Multigraph, graph_to_json, graph_to_text
 
 GUARDS = {
     "game": 16,  # rank / halting / recurrent / winnable / dist-* / trace / subdivide
@@ -33,13 +33,13 @@ def _read(path: str) -> str:
 
 
 def _load_graph(args, path: str, kind: str) -> Multigraph:
-    """Parse a graph file once its declared vertex count has passed the size
-    guard, so that an oversized graph is never built."""
-    text = _read(path)
-    n = multigraph._declared_vertex_count(text)
-    if n is not None:
+    """Decode a graph file and check its declared vertex count against the
+    size guard before building it, so an oversized graph is never built."""
+    obj = multigraph._graph_object(_read(path))
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if multigraph._is_int(n):
         _check_guard(args, n, kind)
-    return parse_graph(text)
+    return multigraph.graph_from_json(obj)
 
 
 def _load_divisor(path: str, g: Multigraph):
@@ -51,8 +51,10 @@ def _load_thresholds(path: str, g: Multigraph):
 
 
 def _check_guard(args, n: int, kind: str) -> None:
+    """Refuse a graph above the size guard; warn once per run if --max-n raises it."""
     limit = args.max_n if args.max_n is not None else GUARDS[kind]
-    if args.max_n is not None and args.max_n > GUARDS[kind]:
+    if limit > GUARDS[kind] and not args.warned:
+        args.warned = True
         print(
             f"warning: raising the size guard to {args.max_n}; "
             "these solvers take exponential time in the worst case",
@@ -231,6 +233,8 @@ def _write_bundle(args, g: Multigraph, f, sidecar: dict) -> None:
 
 
 def _cmd_reduce(args) -> int:
+    if args.m is not None and args.kind != "rec-to-nonhalt":
+        raise ChipFiringError(f"--m applies only to rec-to-nonhalt, not {args.kind}")
     g = _load_graph(args, args.graph, "game" if args.kind == "rec-to-nonhalt" else "verify-chain")
     if args.kind == "tss-to-rec":
         tau = _load_thresholds(args.second, g)
@@ -309,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--max-n", type=int, default=None,
                        help="override the size guard (solvers are exponential)")
+        p.set_defaults(warned=False)
         if witness:
             p.add_argument("--witness", action="store_true", help="include the witness")
         if oracle:

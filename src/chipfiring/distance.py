@@ -22,10 +22,11 @@ and every skipped level is empty.
 
 `rank` searches only where it must.  With genus G = |E| - n + 1 and canonical
 divisor K = deg - 2 (Baker-Norine), a divisor of negative degree has rank -1,
-one of degree above 2G - 2 has rank deg - G (closed form), and one of degree
-in (G - 1, 2G - 2] has rank deg - G + 1 + rank(K - f), where K - f has degree
-below G - 1 (dual).  Only degrees in [0, G - 1] reach the search, as one less
-than the distance of deg - 1 - f from a non-halting state.
+and one of degree above G - 1 has rank deg - G + 1 + rank(K - f) by
+Riemann-Roch, where K - f has degree below G - 1: negative above 2G - 2,
+which gives deg - G, else searched.  Only degrees in [0, G - 1] reach the
+search, as one less than the distance of deg - 1 - f from a non-halting
+state.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
 def rank(g: Multigraph, f) -> int:
     """Divisor rank: -1 exactly when f is not winnable.
 
-    Negative degree gives -1; degree above 2G - 2 gives deg f - G (closed
-    form); degree in (G - 1, 2G - 2] gives deg f - G + 1 + rank(K - f) by
-    Riemann-Roch (dual), with G the genus and K = deg - 2.  Degrees in
+    Negative degree gives -1; degree above G - 1 gives deg f - G + 1 +
+    rank(K - f) by Riemann-Roch, with G the genus and K = deg - 2, and K - f
+    of degree below G - 1 falls in one of the other two cases.  Degrees in
     [0, G - 1] are searched: one less than the distance of deg - 1 - f from
     a non-halting state."""
     g.require_connected()
@@ -121,8 +122,6 @@ def rank(g: Multigraph, f) -> int:
     if d < 0:
         # degree is invariant under firing, so no effective equivalent exists
         return -1
-    if d > 2 * genus - 2:
-        return d - genus
     if d > genus - 1:
         return d - genus + 1 + rank(g, tuple(dv - 2 - x for dv, x in zip(g.degrees, f)))
     return dist_nonhalt(g, winnability_complement(g, f)).value - 1

@@ -15,14 +15,17 @@ degrees and edge count, so the stored format is known here only.
 them on; gadget constructions whose maps are valid by construction reach it
 through `Multigraph._from_rows`, skipping the per-edge checks.
 
-Every input file is read through the helpers at the end of this module, and
-every integer input is checked by `_is_int`, an int that is not a bool, so
-a malformed file or value raises a typed error wherever it enters.
+Every input file is read through the helpers at the end of this module: a
+graph file is decoded once, into the object `graph_from_json` builds from,
+file text becomes ints in `_ints` only, and every integer input is checked
+by `_is_int`, an int that is not a bool, so a malformed file or value
+raises a typed error wherever it enters.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterable
 
 from .errors import (
@@ -182,45 +185,30 @@ def parse_graph(text: str) -> Multigraph:
 
     Text: first line n, remaining lines 'u v m' (0-based, m >= 1); blank lines
     and '#' comments are ignored.  JSON: {"n": ..., "edges": [[u, v, m], ...]}.
-    Repeated pairs accumulate their multiplicities.
+    Repeated pairs accumulate their multiplicities.  Decoding and building
+    are separate steps, so a caller can check the decoded "n" in between.
     """
+    return graph_from_json(_graph_object(text))
+
+
+def _graph_object(text: str) -> object:
+    """The decoded graph file, before any graph is built: the JSON value, or
+    for the text format {"n": n, "edges": [(u, v, m), ...]}."""
     if text.lstrip().startswith("{"):
-        return graph_from_json(_decode_json(text, "graph"))
+        return _decode_json(text, "graph")
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty graph file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise FormatError(f"first line must be the vertex count, got {lines[0]!r}") from None
+    header = _ints(lines[0], "vertex count")
+    if len(header) != 1:
+        raise FormatError(f"first line must be the vertex count, got {_clip(lines[0])!r}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"edge line must be 'u v m', got {ln!r}")
-        try:
-            u, v, m = (int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"edge line must contain integers, got {ln!r}") from None
-        edges.append((u, v, m))
-    return graph_from_json({"n": n, "edges": edges})
-
-
-def _declared_vertex_count(text: str) -> int | None:
-    """The vertex count a graph file declares, read without building the
-    graph: the first line of the text format, or "n" of the JSON format.
-    None when the file declares none; parse_graph then reports why.  JSON
-    that does not decode raises the FormatError parse_graph would."""
-    if text.lstrip().startswith("{"):
-        obj = _decode_json(text, "graph")
-        n = obj.get("n") if isinstance(obj, dict) else None
-    else:
-        lines = _data_lines(text)
-        try:
-            n = int(lines[0]) if lines else None
-        except ValueError:
-            n = None
-    return n if _is_int(n) else None
+        edge = _ints(ln, "edge")
+        if len(edge) != 3:
+            raise FormatError(f"edge line must be 'u v m', got {_clip(ln)!r}")
+        edges.append(edge)
+    return {"n": header[0], "edges": edges}
 
 
 def graph_from_json(obj: object) -> Multigraph:
@@ -262,7 +250,20 @@ def _int_line(text: str, what: str) -> tuple[int, ...]:
     lines = _data_lines(text)
     if len(lines) != 1:
         raise FormatError(f"{what} file must contain exactly one line of integers")
+    return _ints(lines[0], what)
+
+
+def _ints(line: str, what: str) -> tuple[int, ...]:
+    """The space-separated integers of one line of an input file, the one
+    place where file text becomes ints; `what` names the line in errors."""
     try:
-        return tuple(int(p) for p in lines[0].split())
-    except ValueError:
-        raise FormatError(f"{what} line must contain integers, got {lines[0]!r}") from None
+        return tuple(map(int, line.split()))
+    except ValueError as exc:
+        problem = (f"has an integer beyond Python's {sys.get_int_max_str_digits()}-digit limit"
+                   if str(exc).startswith("Exceeds the limit") else "must contain integers")
+        raise FormatError(f"{what} line {problem}, got {_clip(line)!r}") from None
+
+
+def _clip(line: str) -> str:
+    """A line as echoed in an error message, cut to 40 characters."""
+    return line if len(line) <= 40 else line[:37] + "..."

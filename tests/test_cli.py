@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import Multigraph, cli, is_recurrent, oracles, reduce_tss_to_rec
+from chipfiring import Multigraph, cli, is_recurrent, multigraph, oracles, reduce_tss_to_rec
 from chipfiring.chipfire import divisor_to_text
 from chipfiring.families import complete_graph, cycle_graph
-from chipfiring.multigraph import graph_to_text
+from chipfiring.multigraph import graph_to_json, graph_to_text
 
 FILES = {
     "c3.graph": "3\n0 1 1\n1 2 1\n0 2 1\n",
@@ -48,6 +48,11 @@ FILES = {
     "long.graph": '{"n": 2, "edges": [[0, 1, %s]]}\n' % ("1" * 5000),
     "long.div": '{"chips": [%s, 0]}\n' % ("1" * 5000),
     "deep.graph": '{"n": ' + "[" * 100_000,
+    # the same digit limit on a text line
+    "long.txt.div": "1" * 5000 + " 0 0\n",
+    "long.txt.thr": "1" * 5000 + " 1 1\n",
+    "long-count.graph": "1" * 5000 + "\n0 1 1\n",
+    "long-edge.graph": "2\n0 1 " + "1" * 5000 + "\n",
     "ff.graph": b"2\n0 1 1\xff\n",
     "ff.div": b"1 \xff\n",
     "ff.thr": b"1 \xff\n",
@@ -137,6 +142,13 @@ GOLDEN = [
         '{"divisor": {"chips": [4, 3, 0]}, "graph": {"edges": [[0, 1, 1], '
         '[0, 2, 3], [1, 2, 3]], "n": 3}, "sidecar": {"M": 3, "N": null, "roles": '
         '["orig:0", "orig:1", "new"]}}\n',
+    ),
+    # an --m above the bound dist_rec 1 + overshoot 0 replaces the default 7
+    (
+        ("reduce", "rec-to-nonhalt", "c3.graph", "halt.div", "--m", "2", *J),
+        '{"divisor": {"chips": [4, 2, 2, 0]}, "graph": {"edges": [[0, 1, 1], '
+        '[0, 2, 1], [0, 3, 2], [1, 2, 1], [1, 3, 2], [2, 3, 2]], "n": 4}, "sidecar": '
+        '{"M": 2, "N": null, "roles": ["orig:0", "orig:1", "orig:2", "new"]}}\n',
     ),
     (
         ("reduce", "tss-to-nonhalt", "k2.graph", "k2.thr", *J),
@@ -290,10 +302,36 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
             "error: cannot read ff.thr: "
             "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
         ),
+        # an integer too long to convert: the message names the limit and
+        # echoes only the start of the line
+        *[
+            (argv, f"error: {what} line has an integer beyond Python's "
+                   f"{sys.get_int_max_str_digits()}-digit limit, got '{shown}...'\n")
+            for argv, what, shown in [
+                (("halting", "c3.graph", "long.txt.div"), "divisor", "1" * 37),
+                (("tss", "c3.graph", "long.txt.thr"), "thresholds", "1" * 37),
+                (("halting", "long-count.graph", "zero2.div"), "vertex count", "1" * 37),
+                (("halting", "long-edge.graph", "zero2.div"), "edge", "0 1 " + "1" * 33),
+            ]
+        ],
+        (
+            ("reduce", "tss-to-rec", "k2.graph", "k2.thr", "--m", "5"),
+            "error: --m applies only to rec-to-nonhalt, not tss-to-rec\n",
+        ),
+        (
+            ("reduce", "tss-to-nonhalt", "k2.graph", "k2.thr", "--m", "5"),
+            "error: --m applies only to rec-to-nonhalt, not tss-to-nonhalt\n",
+        ),
+        (
+            ("reduce", "rec-to-nonhalt", "c3.graph", "halt.div", "--m", "1"),
+            "error: apex multiplicity 1 must exceed 1 for this instance\n",
+        ),
     ],
     ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
          "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
-         "non-utf8-divisor", "non-utf8-thresholds"],
+         "non-utf8-divisor", "non-utf8-thresholds", "long-text-divisor", "long-text-thresholds",
+         "long-text-vertex-count", "long-text-edge", "m-tss-to-rec", "m-tss-to-nonhalt",
+         "m-at-bound"],
 )
 def test_input_errors_exit_2(run, argv, stderr):
     # a typed error, not a traceback, which would exit 1
@@ -332,8 +370,8 @@ def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
 
 @pytest.mark.parametrize(
     "graph",
-    ["10000000\n0 1 1\n", '{"n": 10000000, "edges": [[0, 1, 1]]}\n'],
-    ids=["text", "json"],
+    ["10000000\n0 1 1\n", '{"n": 10000000, "edges": [[0, 1, 1]]}\n', "10000000\n0 1\n"],
+    ids=["text", "json", "text-bad-edge"],
 )
 @pytest.mark.parametrize(
     "argv, guard",
@@ -341,17 +379,66 @@ def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
     ids=["halting", "tss"],
 )
 def test_size_guard_precedes_graph_build_and_second_file(tmp_path, graph, argv, guard):
-    # the guard reads only the declared vertex count: it neither builds the
-    # 10^7-vertex graph nor reads the two-entry divisor or threshold file
+    # the guard reads the vertex count of the decoded file: it neither builds
+    # the 10^7-vertex graph nor reads the two-entry divisor or threshold file.
+    # A file that does not decode is reported as such, whatever its count.
     (tmp_path / "big.graph").write_text(graph)
     (tmp_path / "small.div").write_text("0 0\n")
     (tmp_path / "small.thr").write_text("1 1\n")
     proc = _run_capped(tmp_path, argv, timeout=5)
-    assert (proc.returncode, proc.stderr) == (
-        2,
-        f"error: graph has 10000000 vertices, above the size guard {guard} "
-        "(override with --max-n at your own risk)\n",
-    )
+    if graph.endswith("0 1\n"):
+        stderr = "error: edge line must be 'u v m', got '0 1'\n"
+    else:
+        stderr = (f"error: graph has 10000000 vertices, above the size guard {guard} "
+                  "(override with --max-n at your own risk)\n")
+    assert (proc.returncode, proc.stderr) == (2, stderr)
+
+
+def test_one_decode_per_json_graph_file(tmp_path, monkeypatch):
+    # the size guard reads "n" off the object the graph is then built from
+    decoded = []
+    decode = multigraph._decode_json
+    monkeypatch.setattr(multigraph, "_decode_json",
+                        lambda text, what: decoded.append(what) or decode(text, what))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(cycle_graph(5))))
+    args = cli.build_parser().parse_args(["halting", str(path), "unread.div"])
+    assert cli._load_graph(args, str(path), "game") == cycle_graph(5)
+    assert decoded == ["graph"]
+
+
+def _pair_dir(pairs):
+    # a subdirectory of the working directory run() fills with FILES
+    directory = Path("pairs")
+    directory.mkdir()
+    for name, (graph, thresholds) in pairs.items():
+        (directory / f"{name}.graph").write_text(FILES[graph])
+        if thresholds is not None:
+            (directory / f"{name}.thr").write_text(FILES[thresholds])
+    return directory
+
+
+WARNING = ("warning: raising the size guard to 8; "
+           "these solvers take exponential time in the worst case\n")
+
+
+@pytest.mark.parametrize("fmt", [(), J], ids=["text", "json"])
+def test_verify_chain_directory_concatenates_pairs_and_warns_once(run, fmt):
+    pairs = _pair_dir({"a": ("k2.graph", "k2.thr"), "b": ("c3.graph", "c3.thr")})
+    singles = []
+    for name in "ab":
+        code, out, err = run(["verify-chain", f"{pairs}/{name}.graph", f"{pairs}/{name}.thr",
+                              *fmt, "--max-n", "8"])
+        assert (code, err) == (0, WARNING)
+        # the text form heads each pair's report with its file name
+        singles.append(out if fmt else f"# {name}.graph\n{out}")
+    assert run(["verify-chain", str(pairs), *fmt, "--max-n", "8"]) == (0, "".join(singles), WARNING)
+
+
+def test_verify_chain_directory_with_a_missing_thresholds_file_exits_2(run):
+    pairs = _pair_dir({"a": ("k2.graph", "k2.thr"), "b": ("c3.graph", None)})
+    code, _out, err = run(["verify-chain", str(pairs), *J])
+    assert (code, err) == (2, "error: missing thresholds file pairs/b.thr\n")
 
 
 C16, C20 = graph_to_text(cycle_graph(16)), graph_to_text(cycle_graph(20))

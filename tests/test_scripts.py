@@ -11,13 +11,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("argv", [
     ["verify_corpus.py", "--family", "3"],
-    ["verify_corpus.py", "--dir", "."],
     ["rank_agreement_sweep.py", "--trials", "100", "--max-n", "4"],
-], ids=["corpus-family", "corpus-dir", "rank-sweep"])
+], ids=["corpus-family", "rank-sweep"])
 def test_script_exits_0(tmp_path, argv):
-    # one *.graph/*.thr pair for --dir: a path with a forced end vertex
-    (tmp_path / "p3.graph").write_text("3\n0 1 1\n1 2 1\n")
-    (tmp_path / "p3.thr").write_text("# thresholds\n2 1 1\n")
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
