@@ -84,11 +84,11 @@ is non-halting when the count is >= 0 and halting otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, count
 from operator import mul
 from random import Random
+from typing import NamedTuple
 
 from .errors import FormatError, GraphStructureError, IllegalFiringError
 from .multigraph import Multigraph, _decode_json, _int_line, _is_int
@@ -161,8 +161,7 @@ def fire_sequence(g: Multigraph, f, seq, require_legal: bool = True) -> Divisor:
     return tuple(chips)
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(NamedTuple):
     """A legal firing sequence with its histogram and the divisor it reaches."""
 
     firing_order: tuple[int, ...]
@@ -170,8 +169,7 @@ class GameTrace:
     final: Divisor
 
 
-@dataclass(frozen=True)
-class HaltVerdict:
+class HaltVerdict(NamedTuple):
     kind: str
     stable: Divisor | None = None
     witness: GameTrace | None = None

@@ -283,15 +283,17 @@ def _cmd_verify_chain(args) -> int:
         pairs = sorted(first.glob("*.graph"))
         if not pairs:
             raise ChipFiringError(f"no *.graph files in {first}")
-        ok = True
-        for gpath in pairs:
+        instances = []
+        for gpath in pairs:  # every input before the first report, so an exit 2 prints none
             tpath = gpath.with_suffix(".thr")
             if not tpath.exists():
                 raise ChipFiringError(f"missing thresholds file {tpath}")
             g = _load_graph(args, str(gpath), "verify-chain")
-            tau = _load_thresholds(str(tpath), g)
+            instances.append((gpath.name, g, _load_thresholds(str(tpath), g)))
+        ok = True
+        for name, g, tau in instances:
             if args.format != "json":
-                print(f"# {gpath.name}")
+                print(f"# {name}")
             ok = _verify_one(args, g, tau) and ok
         return 0 if ok else 1
     if not args.second:

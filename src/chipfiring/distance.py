@@ -31,8 +31,8 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chipfire import (
     Divisor, _least_top_up, _play, _reduce, deg, validate_divisor, winnability_complement,
@@ -40,8 +40,7 @@ from .chipfire import (
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     """A distance value with the minimizing effective top-up divisor."""
 
     value: int

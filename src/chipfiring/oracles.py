@@ -25,11 +25,10 @@ and the enumeration pins it down in tests.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, product
 from json import dumps
+from typing import NamedTuple
 
 from .distance import dist_nonhalt, dist_rec, effective_divisors
 from .errors import SizeGuardError
@@ -42,8 +41,7 @@ SUBSET_GUARD = 20
 EXHAUSTIVE_GUARD = 200_000
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """One cross-checked quantity; `agree` is the verdict, never swallowed."""
 
     quantity: str
@@ -66,6 +64,8 @@ class OracleReport:
 
 
 def instance_fingerprint(g: Multigraph, values) -> str:
+    import hashlib  # not at module level: loading OpenSSL slows every CLI start
+
     payload = graph_to_text(g) + "|" + " ".join(str(x) for x in values)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -48,7 +48,7 @@ meaning of each id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chipfire import add, is_effective, is_recurrent, validate_divisor
 from .distance import dist_rec
@@ -57,8 +57,7 @@ from .multigraph import Multigraph, _is_int
 from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 
-@dataclass(frozen=True)
-class TssToRecInstance:
+class TssToRecInstance(NamedTuple):
     """Bundle-gadget output: graph, chip configuration, and the role maps."""
 
     gprime: Multigraph
@@ -76,8 +75,7 @@ class TssToRecInstance:
     forced: int
 
 
-@dataclass(frozen=True)
-class RecToNonhaltInstance:
+class RecToNonhaltInstance(NamedTuple):
     """Apex-gadget output: graph, shifted chips, apex id and multiplicity."""
 
     gpp: Multigraph

@@ -13,7 +13,7 @@ target set, and any larger threshold would mean the same thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chipfire import _cascade, _least_top_up
 from .errors import GraphStructureError, InvalidVertexError
@@ -50,8 +50,7 @@ def _validate_seed(g: Multigraph, seed) -> tuple[int, ...]:
     return tuple(sorted(set(seed)))
 
 
-@dataclass(frozen=True)
-class TargetSet:
+class TargetSet(NamedTuple):
     members: tuple[int, ...]
 
     @property

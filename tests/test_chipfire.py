@@ -65,9 +65,10 @@ def test_is_effective():
 def test_classify_halting_examples():
     v = classify_halting(K2, (0, 0))
     assert v.kind == HALTING and v.stable == (0, 0) and v.witness is None
+    assert v == HaltVerdict(HALTING, (0, 0)) and v.is_halting
 
     v = classify_halting(K2, (1, 0))
-    assert v.kind == NON_HALTING and v.stable is None
+    assert v.kind == NON_HALTING and v.stable is None and not v.is_halting
     assert min(v.witness.fire_counts) >= 1
 
     v = classify_halting(C3, (2, 0, 0))

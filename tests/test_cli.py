@@ -357,6 +357,18 @@ def _run_capped(cwd, argv, timeout):
     )
 
 
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # every CLI process pays for what `import chipfiring.cli` loads: dataclasses
+    # brings in inspect, ast and dis, and hashlib loads OpenSSL; -S keeps site
+    # hooks out of the child
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, chipfiring.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_oversized_vertex_count_exits_2_at_the_size_guard(tmp_path):
     (tmp_path / "big.graph").write_text("30000\n0 1 1\n")
     (tmp_path / "big.div").write_text(" ".join(["0"] * 30000) + "\n")
@@ -437,8 +449,15 @@ def test_verify_chain_directory_concatenates_pairs_and_warns_once(run, fmt):
 
 def test_verify_chain_directory_with_a_missing_thresholds_file_exits_2(run):
     pairs = _pair_dir({"a": ("k2.graph", "k2.thr"), "b": ("c3.graph", None)})
-    code, _out, err = run(["verify-chain", str(pairs), *J])
-    assert (code, err) == (2, "error: missing thresholds file pairs/b.thr\n")
+    # a.graph sorts first, and its report must not precede the error
+    assert run(["verify-chain", str(pairs), *J]) == (
+        2, "", "error: missing thresholds file pairs/b.thr\n")
+
+
+def test_verify_chain_directory_with_a_malformed_pair_prints_no_report(run):
+    pairs = _pair_dir({"a": ("k2.graph", "k2.thr"), "b": ("c3.graph", "k2.thr")})
+    assert run(["verify-chain", str(pairs), *J]) == (
+        2, "", "error: threshold vector has 2 entries for 3 vertices\n")
 
 
 C16, C20 = graph_to_text(cycle_graph(16)), graph_to_text(cycle_graph(20))

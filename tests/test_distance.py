@@ -62,6 +62,7 @@ def test_upper_bound_reaches_recurrent():
 def test_dist_nonhalt_examples():
     assert dist_nonhalt(K2, (1, 0)) == DistanceResult(0, (0, 0))
     assert dist_nonhalt(K2, (0, 0)) == DistanceResult(1, (1, 0))
+    assert dist_nonhalt(K2, (0, 0)).to_json() == {"value": 1, "witness": [1, 0]}
     assert dist_nonhalt(C3, (0, 0, 0)) == DistanceResult(3, (2, 1, 0))
 
 

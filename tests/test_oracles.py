@@ -163,3 +163,5 @@ def test_fingerprint_stable_and_distinct():
 def test_report_dataclass():
     r = OracleReport("q", 1, 2, False, "abc")
     assert not r.agree
+    assert r.json_line() == (
+        '{"agree": false, "instance": "abc", "oracle": 2, "pipeline": 1, "quantity": "q"}')
