@@ -315,11 +315,3 @@ def subdivision_roles(g: Multigraph) -> tuple[str, ...]:
         roles.extend([f"sub:{u}:{v}"] * m)
     return tuple(roles)
 
-
-def bundle_sidecar(inst: TssToRecInstance | RecToNonhaltInstance,
-                   inner: TssToRecInstance | None = None) -> dict:
-    """The JSON sidecar of a reduced-instance bundle."""
-    if isinstance(inst, TssToRecInstance):
-        return {"N": inst.N, "M": None, "roles": list(inst.roles)}
-    n_value = inner.N if inner is not None else None
-    return {"N": n_value, "M": inst.M, "roles": list(inst.roles)}

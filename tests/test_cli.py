@@ -160,6 +160,10 @@ GOLDEN = [
         '"p:0:1", "p:1:0", "new"]}}\n',
     ),
     (
+        ("reduce", "rec-to-nonhalt", "k2.graph", "k2.div"),
+        '3\n0 1 1\n0 2 3\n1 2 3\n4 3 0\n{"M": 3, "N": null, "roles": ["orig:0", "orig:1", "new"]}\n',
+    ),
+    (
         ("subdivide", "p4m.graph", "p4m.div", *J),
         '{"divisor": {"chips": [3, 0, 0, 1, 0, 0, 0, 0]}, "graph": {"edges": '
         "[[0, 4, 1], [0, 5, 1], [1, 4, 1], [1, 5, 1], [1, 6, 1], [2, 6, 1], "
@@ -184,6 +188,7 @@ GOLDEN = [
     ),
     (("rank", "c3.graph", "halt.div", "--oracle"), "rank 1 (oracle 1: agree)\n"),
     (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle True: agree)\n"),
+    (("dist-rec", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle agree)\n"),
     (
         ("tss", "c3.graph", "c3.thr", "--oracle"),
         "minimum target set size 1: 0 (oracle 1: agree)\n",
@@ -202,6 +207,7 @@ DISAGREE = [
     ),
     (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle False: DISAGREE)\n"),
     (("dist-rec", "c3.graph", "halt.div", *J, "--oracle"), '{"agree": false, "value": 1}\n'),
+    (("dist-rec", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle DISAGREE)\n"),
     (
         ("tss", "c3.graph", "c3.thr", *J, "--oracle"),
         '{"agree": false, "members": [0], "oracle": 2, "size": 1}\n',
@@ -220,6 +226,10 @@ def run(tmp_path, monkeypatch, capsys):
             (tmp_path / name).write_bytes(text)
         else:
             (tmp_path / name).write_text(text)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "k2pair").mkdir()
+    for name in ("k2.graph", "k2.thr"):
+        (tmp_path / "k2pair" / name).write_text(FILES[name])
     monkeypatch.chdir(tmp_path)
 
     def go(argv):
@@ -326,16 +336,98 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
             ("reduce", "rec-to-nonhalt", "c3.graph", "halt.div", "--m", "1"),
             "error: apex multiplicity 1 must exceed 1 for this instance\n",
         ),
+        (
+            ("subdivide", "k2.graph", "k2.div", "--out", "missing/b"),
+            "error: cannot write missing/b.graph: "
+            "[Errno 2] No such file or directory: 'missing/b.graph'\n",
+        ),
+        (
+            ("verify-chain", "k2.graph", *J),
+            "error: verify-chain needs a graph and a thresholds file, or a directory\n",
+        ),
+        (("verify-chain", "empty", *J), "error: no *.graph files in empty\n"),
+        # a directory holds its own thresholds files
+        (
+            ("verify-chain", "k2pair", "k2.thr", *J),
+            "error: verify-chain reads a directory's thresholds from its *.thr files, "
+            "not from k2.thr\n",
+        ),
     ],
     ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
          "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
          "non-utf8-divisor", "non-utf8-thresholds", "long-text-divisor", "long-text-thresholds",
          "long-text-vertex-count", "long-text-edge", "m-tss-to-rec", "m-tss-to-nonhalt",
-         "m-at-bound"],
+         "m-at-bound", "out-unwritable", "verify-chain-no-thresholds",
+         "verify-chain-empty-directory", "verify-chain-directory-and-thresholds"],
 )
 def test_input_errors_exit_2(run, argv, stderr):
     # a typed error, not a traceback, which would exit 1
     assert run(argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (
+            ("reduce", "tss-to-rec", "k2.graph", "k2.thr"),
+            {
+                "graph": "8\n0 2 4\n0 7 1\n1 3 4\n1 6 1\n2 4 1\n3 5 1\n4 6 4\n5 7 4\n",
+                "div": "4 4 1 1 4 4 1 1\n",
+                "json": '{"M": null, "N": 4, "roles": '
+                        '["i:0", "i:1", "c:0", "c:1", "o:0", "o:1", "p:0:1", "p:1:0"]}\n',
+            },
+        ),
+        (
+            ("subdivide", "p4m.graph", "p4m.div"),
+            {
+                "graph": "8\n0 4 1\n0 5 1\n1 4 1\n1 5 1\n1 6 1\n2 6 1\n2 7 1\n3 7 1\n",
+                "div": "3 0 0 1 0 0 0 0\n",
+                "json": '{"M": null, "N": null, "roles": ["orig:0", "orig:1", "orig:2", '
+                        '"orig:3", "sub:0:1", "sub:0:1", "sub:1:2", "sub:2:3"]}\n',
+            },
+        ),
+    ],
+    ids=["reduce", "subdivide"],
+)
+def test_out_writes_the_bundle_files(run, argv, files):
+    assert run([*argv, "--out", "b"]) == (0, "wrote b.graph, b.div, b.json\n", "")
+    assert {suffix: Path(f"b.{suffix}").read_text() for suffix in files} == files
+
+
+# the options each subcommand takes, of those that only some take
+TAKES = {
+    "rank": {"--oracle"},
+    "winnable": set(),
+    "halting": {"--witness", "--seed"},
+    "recurrent": {"--witness", "--oracle"},
+    "dist-nonhalt": {"--witness"},
+    "dist-rec": {"--witness", "--oracle"},
+    "tss": {"--oracle"},
+    "trace": {"--seed"},
+    "reduce": {"--m", "--out"},
+    "subdivide": {"--out"},
+    "verify-chain": set(),
+}
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_each_subcommand_takes_only_its_options(capsys, command):
+    parser = cli.build_parser()
+    head = [command, "tss-to-rec"] if command == "reduce" else [command]
+    for flag, value, parsed in [("--witness", [], True), ("--oracle", [], True),
+                                ("--seed", ["3"], 3), ("--out", ["p"], "p"), ("--m", ["3"], 3)]:
+        argv = [*head, "g", "x", flag, *value]
+        if flag in TAKES[command]:
+            assert getattr(parser.parse_args(argv), flag[2:]) == parsed
+        elif flag == "--m":
+            # argparse reads an unambiguous prefix as the option it begins
+            args = parser.parse_args(argv)
+            assert (hasattr(args, "m"), args.max_n) == (False, 3)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _cap_address_space():
