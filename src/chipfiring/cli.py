@@ -91,7 +91,11 @@ def _cmd_rank(args, g: Multigraph, f) -> int:
 
 def _cmd_winnable(args, g: Multigraph, f) -> int:
     value = chipfire.is_winnable(g, f)
-    return _emit(args, {"winnable": value}, "winnable" if value else "not winnable")
+
+    def check() -> bool:
+        return oracles.winnable_within_bound(g, f, oracles.default_winnability_bound(g, f))
+
+    return _emit(args, {"winnable": value}, "winnable" if value else "not winnable", value, check)
 
 
 def _cmd_halting(args, g: Multigraph, f) -> int:
@@ -119,14 +123,14 @@ def _cmd_recurrent(args, g: Multigraph, f) -> int:
     return _emit(args, obj, text, ok, lambda: oracles.recurrent_permutation(g, f))
 
 
-def _emit_distance(args, result, oracle=None) -> int:
+def _emit_distance(args, result, oracle=None, value=None) -> int:
     obj = result.to_json()
     text = f"distance {result.value}"
     if args.witness:
         text += f", witness {' '.join(map(str, result.witness))}"
     else:
         obj.pop("witness")
-    return _emit(args, obj, text, oracle=oracle)
+    return _emit(args, obj, text, value, oracle)
 
 
 def _cmd_dist_rec(args, g: Multigraph, f) -> int:
@@ -147,7 +151,14 @@ def _cmd_dist_rec(args, g: Multigraph, f) -> int:
 
 
 def _cmd_dist_nonhalt(args, g: Multigraph, f) -> int:
-    return _emit_distance(args, distance.dist_nonhalt(g, f))
+    result = distance.dist_nonhalt(g, f)
+
+    def check() -> int:
+        # f + g halts exactly when deg - 1 - f - g is winnable, so the
+        # distance is one more than the rank of deg - 1 - f
+        return oracles.rank_definitional(g, chipfire.winnability_complement(g, f)) + 1
+
+    return _emit_distance(args, result, check, result.value)
 
 
 def _cmd_tss(args, g: Multigraph, tau) -> int:
@@ -262,13 +273,13 @@ def _load_directory(args) -> list:
 # graph, the options it takes besides --format and --max-n, and its help.
 COMMANDS = {
     "rank": (_cmd_rank, "divisor", "game", ("--oracle",), "divisor rank"),
-    "winnable": (_cmd_winnable, "divisor", "game", (),
+    "winnable": (_cmd_winnable, "divisor", "game", ("--oracle",),
                  "is the divisor linearly equivalent to an effective one"),
     "halting": (_cmd_halting, "divisor", "game", ("--witness", "--seed"),
                 "does the game from this divisor halt"),
     "recurrent": (_cmd_recurrent, "divisor", "game", ("--witness", "--oracle"),
                   "does some game fire every vertex exactly once"),
-    "dist-nonhalt": (_cmd_dist_nonhalt, "divisor", "game", ("--witness",),
+    "dist-nonhalt": (_cmd_dist_nonhalt, "divisor", "game", ("--witness", "--oracle"),
                      "distance to a non-halting divisor"),
     "dist-rec": (_cmd_dist_rec, "divisor", "game", ("--witness", "--oracle"),
                  "distance to a recurrent divisor"),

@@ -4,11 +4,21 @@ Both distances are the least degree of an effective top-up g; the witness
 is the first such g in placement order (chips on the lowest vertex ids
 first: descending lexicographic order), so witnesses are deterministic.
 `dist_rec` is the least top-up search `chipfire._least_top_up`.  Only
-`dist_nonhalt` enumerates every candidate of each degree, playing each game
-from the stabilization of f (adding an effective g commutes with
-stabilizing) and skipping candidates that activate nothing.  Both are
-exponential by design.  Raising every vertex to its degree reaches a
-recurrent, hence non-halting, divisor, which bounds both distances.
+`dist_nonhalt` enumerates every candidate g of each degree.  It adds g to
+the stabilization of f one vertex at a time and keeps each stable prefix
+state: by the abelian property, stabilizing in stages reaches the same
+state as adding g at once.  If a prefix of g already leaves a non-halting
+game, so does g, since more chips keep an endless legal game legal; as every
+earlier candidate halted, the first such g is the answer.  In placement order
+the next candidate of a degree takes one chip from the last nonzero entry of
+g before vertex n - 1 and moves it, with all of g's chips after that entry,
+to the next vertex (the entry at n - 1 only holds what the others leave, so
+the change never starts there).  So the prefix states up to that entry are
+kept, and each candidate adds at most two entries to a kept state.  A zero
+entry passes the state on; a positive one plays only the avalanche from its
+vertex, the only one it can make active.  Both distances are exponential by
+design.  Raising every vertex to its degree reaches a recurrent, hence
+non-halting, divisor, which bounds both.
 
 f + g halts exactly when its winnability complement deg - 1 - f - g is
 winnable, and winnability depends only on the linear equivalence class.  So
@@ -89,20 +99,31 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     slack = [d - x for d, x in zip(degs, f)]
     if not _play(degs, nbrs, slack)[0]:
         return DistanceResult(0, (0,) * n)
-    # slack is now that of the stabilization of f, positive everywhere: a
-    # candidate activates v only when cand[v] reaches slack[v]
+    # states[v], for v up to the next candidate's first change, is the stable
+    # slack of the stabilization plus cand[:v]; a stored state is never
+    # mutated, and states[0], the stabilization, is positive everywhere
+    states = [slack] * (n + 1)
     limit = upper_bound_to_recurrent(g, f)
     # lower levels leave a winnable complement of degree >= genus: all halt
     for k in range(max(1, g.edge_count - deg(f)), limit + 1):
+        j = 0
         for cand in effective_divisors(k, n):
-            for v in range(n):
-                if cand[v] >= slack[v]:
-                    break
-            else:
-                continue  # still stable, the game halts immediately
-            trial = [s - c for s, c in zip(slack, cand)]
-            if not _play(degs, nbrs, trial)[0]:
-                return DistanceResult(k, cand)
+            # cand differs from its predecessor from j on, and is zero after
+            # j + 1 < n (on one vertex the first candidate is the answer)
+            for v in (j, j + 1):
+                s = states[v]
+                c = cand[v]
+                if c:
+                    s = s[:]
+                    s[v] -= c  # only v can turn active on a stable state
+                    if s[v] <= 0 and not _play(degs, nbrs, s)[0]:
+                        return DistanceResult(k, cand)
+                states[v + 1] = s
+            # the next candidate first differs at the last nonzero entry before n - 1
+            if j < n - 2:
+                j += 1
+            while j > 0 and not cand[j]:
+                j -= 1
     raise AssertionError("unreachable: the pointwise deficit filler is non-halting")
 
 

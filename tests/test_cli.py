@@ -73,6 +73,10 @@ GOLDEN = [
         '{"agree": true, "oracle": 1, "rank": 1}\n',
     ),
     (("winnable", "c3.graph", "halt.div", *J), '{"winnable": true}\n'),
+    (
+        ("winnable", "c3.graph", "halt.div", *J, "--oracle"),
+        '{"agree": true, "oracle": true, "winnable": true}\n',
+    ),
     (("halting", "c3.graph", "halt.div", *J), '{"kind": "halting", "stable": [0, 1, 1]}\n'),
     (
         ("halting", "d4.graph", "d4.div", *J, "--witness"),
@@ -92,6 +96,10 @@ GOLDEN = [
     (
         ("dist-nonhalt", "c3.graph", "halt.div", *J, "--witness"),
         '{"value": 1, "witness": [0, 1, 0]}\n',
+    ),
+    (
+        ("dist-nonhalt", "c3.graph", "halt.div", *J, "--witness", "--oracle"),
+        '{"agree": true, "oracle": 1, "value": 1, "witness": [0, 1, 0]}\n',
     ),
     (
         ("dist-rec", "c3.graph", "halt.div", *J, "--witness", "--oracle"),
@@ -189,6 +197,8 @@ GOLDEN = [
     (("rank", "c3.graph", "halt.div", "--oracle"), "rank 1 (oracle 1: agree)\n"),
     (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle True: agree)\n"),
     (("dist-rec", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle agree)\n"),
+    (("dist-nonhalt", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle 1: agree)\n"),
+    (("winnable", "c3.graph", "halt.div", "--oracle"), "winnable (oracle True: agree)\n"),
     (
         ("tss", "c3.graph", "c3.thr", "--oracle"),
         "minimum target set size 1: 0 (oracle 1: agree)\n",
@@ -208,6 +218,16 @@ DISAGREE = [
     (("recurrent", "c3.graph", "nonhalt.div", "--oracle"), "recurrent (oracle False: DISAGREE)\n"),
     (("dist-rec", "c3.graph", "halt.div", *J, "--oracle"), '{"agree": false, "value": 1}\n'),
     (("dist-rec", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle DISAGREE)\n"),
+    (
+        ("dist-nonhalt", "c3.graph", "halt.div", *J, "--oracle"),
+        '{"agree": false, "oracle": 8, "value": 1}\n',
+    ),
+    (("dist-nonhalt", "c3.graph", "halt.div", "--oracle"), "distance 1 (oracle 8: DISAGREE)\n"),
+    (
+        ("winnable", "c3.graph", "halt.div", *J, "--oracle"),
+        '{"agree": false, "oracle": false, "winnable": true}\n',
+    ),
+    (("winnable", "c3.graph", "halt.div", "--oracle"), "winnable (oracle False: DISAGREE)\n"),
     (
         ("tss", "c3.graph", "c3.thr", *J, "--oracle"),
         '{"agree": false, "members": [0], "oracle": 2, "size": 1}\n',
@@ -262,6 +282,7 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
     monkeypatch.setattr(oracles, "rank_definitional", lambda g, f: 7)
     monkeypatch.setattr(oracles, "recurrent_permutation", lambda g, f: False)
     monkeypatch.setattr(oracles, "ts_subset_enumeration", lambda g, tau: 2)
+    monkeypatch.setattr(oracles, "winnable_within_bound", lambda g, f, bound: False)
     assert run(argv) == (1, stdout, "")
 
 
@@ -397,10 +418,10 @@ def test_out_writes_the_bundle_files(run, argv, files):
 # the options each subcommand takes, of those that only some take
 TAKES = {
     "rank": {"--oracle"},
-    "winnable": set(),
+    "winnable": {"--oracle"},
     "halting": {"--witness", "--seed"},
     "recurrent": {"--witness", "--oracle"},
-    "dist-nonhalt": {"--witness"},
+    "dist-nonhalt": {"--witness", "--oracle"},
     "dist-rec": {"--witness", "--oracle"},
     "tss": {"--oracle"},
     "trace": {"--seed"},

@@ -16,6 +16,7 @@ from chipfiring import (
     upper_bound_to_recurrent,
     winnability_complement,
 )
+from chipfiring.chipfire import _play, _reduce
 from chipfiring.distance import DistanceResult, effective_divisors
 from chipfiring.families import (
     connected_multigraphs,
@@ -247,6 +248,53 @@ def test_dist_rec_matches_direct_enumeration_on_bundle_gadgets():
             inst = reduce_tss_to_rec(src, tau)
             gp, x = inst.gprime, inst.x
             assert dist_rec(gp, x) == _naive_dist(gp, x, lambda h: is_recurrent(gp, h)[0]), tau
+
+
+def _dist_nonhalt_from_scratch(g, f):
+    # dist_nonhalt without prefix states: every candidate's game is played
+    # from the stabilization of the reduced f
+    degs, nbrs, n = g.degrees, g.nbrs, g.n
+    f = _reduce(degs, nbrs, f)
+    slack = [d - x for d, x in zip(degs, f)]
+    if not _play(degs, nbrs, slack)[0]:
+        return DistanceResult(0, (0,) * n)
+    for k in range(max(1, g.edge_count - sum(f)), upper_bound_to_recurrent(g, f) + 1):
+        for cand in effective_divisors(k, n):
+            trial = [s - c for s, c in zip(slack, cand)]
+            if not _play(degs, nbrs, trial)[0]:
+                return DistanceResult(k, cand)
+    raise AssertionError
+
+
+def test_dist_nonhalt_matches_from_scratch_search_exhaustive():
+    # every connected multigraph on 4 vertices with at most 6 edges, every
+    # divisor within one chip of [0, deg]: 43,025 queries
+    count = 0
+    for g in connected_multigraphs(4, 6):
+        for f in divisors_in_box(g, -1, 1):
+            assert dist_nonhalt(g, f) == _dist_nonhalt_from_scratch(g, f), (g.edges(), f)
+            count += 1
+    assert count == 43_025
+
+
+def test_dist_nonhalt_matches_from_scratch_search_at_deep_levels():
+    # 5-8 vertex multigraphs 16-24 chips below their degrees, as searched by
+    # rank, kept when the answer lies at level 5-15: deep prefixes, many
+    # candidates resumed between two avalanches
+    rng = Random(1716)
+    kept = 0
+    while kept < 150:
+        n = rng.randint(5, 8)
+        edges = [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, n)]
+        edges += [(*rng.sample(range(n), 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        g = Multigraph(n, edges)
+        f = list(g.degrees)
+        for _ in range(rng.randint(16, 24)):
+            f[rng.randrange(n)] -= 1
+        expected = _dist_nonhalt_from_scratch(g, f)
+        if 5 <= expected.value <= 15:
+            assert dist_nonhalt(g, f) == expected, (edges, f)
+            kept += 1
 
 
 def test_rank_matches_definitional_sample():
