@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_handler, second, _kind, options, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "reduce":
             p.add_argument("kind", choices=list(REDUCE))
             p.add_argument("graph")

@@ -35,10 +35,11 @@ target set of size at most deg y plus the forced vertices, in one pass over
 y.  So solutions, not just optima, move through the gadget, and a minimum on
 either side maps to a minimum on the other.
 
-Both gadgets are built straight into adjacency maps rather than edge lists,
-and are marked connected at build time: each source is required to be
-connected first, and each gadget keeps every source vertex joined to the
-rest (through its chain and ports, or through the apex).
+All three constructions are built straight into adjacency maps rather than
+edge lists, and are marked connected at build time: each source is required
+to be connected first, and each construction keeps every source vertex
+joined to the rest (through its chain and ports, the apex, or its
+subdivided edges).
 
 Vertex ids are laid out deterministically (inner block, core block, outer
 block, then ports in sorted edge order; the apex is always last) so that
@@ -103,52 +104,31 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     n = g.n
     forced = _forced_vertices(g, tau)
     bundle = n + 2
-    edge_pairs = [(u, v) for u, v, _m in g.edges()]
     inner = tuple(range(n))
     core = tuple(range(n, 2 * n))
     outer = tuple(range(2 * n, 3 * n))
+    # v_i - v_c (N) and v_c - v_o (1) for every block, each in both directions
+    rows = ([{core[v]: bundle} for v in range(n)]
+            + [{inner[v]: bundle, outer[v]: 1} for v in range(n)]
+            + [{core[v]: 1} for v in range(n)])
+    # then u_o - p_uv (N) and p_uv - v_i (1) for the two ports of each source edge
     ports: dict[tuple[int, int], int] = {}
-    for j, (u, v) in enumerate(edge_pairs):
-        ports[(u, v)] = 3 * n + 2 * j
-        ports[(v, u)] = 3 * n + 2 * j + 1
-    total = 3 * n + 2 * len(edge_pairs)
-
-    # g is simple, so every gadget pair below is set exactly once
-    rows = [{} for _ in range(total)]
-    for v in range(n):
-        rows[inner[v]][core[v]] = bundle
-        rows[core[v]] = {inner[v]: bundle, outer[v]: 1}
-        rows[outer[v]][core[v]] = 1
-    for (u, v), p in ports.items():
-        rows[outer[u]][p] = bundle
-        rows[p] = {outer[u]: bundle, inner[v]: 1}
-        rows[inner[v]][p] = 1
+    for a, b, _m in g.edges():
+        for u, v in ((a, b), (b, a)):
+            p = ports[(u, v)] = len(rows)
+            rows[outer[u]][p] = bundle
+            rows.append({outer[u]: bundle, inner[v]: 1})
+            rows[inner[v]][p] = 1
     gprime = Multigraph._from_rows(rows, connected=True)
 
-    x = [0] * total
+    # deg - N = 1 on cores and ports, deg - 1 on outer vertices, and deg - tau
+    # on inner ones (all of deg when v is forced)
+    x = [d - bundle for d in gprime.degrees]
     for v in range(n):
         x[outer[v]] = gprime.degrees[outer[v]] - 1
         x[inner[v]] = gprime.degrees[inner[v]] - (0 if v in forced else tau[v])
-        x[core[v]] = gprime.degrees[core[v]] - bundle
-    for p in ports.values():
-        x[p] = gprime.degrees[p] - bundle
-
-    roles = [""] * total
-    for v in range(n):
-        roles[inner[v]] = f"i:{v}"
-        roles[core[v]] = f"c:{v}"
-        roles[outer[v]] = f"o:{v}"
-    for (u, v), p in ports.items():
-        roles[p] = f"p:{u}:{v}"
-
-    circ = frozenset(inner) | frozenset(outer)
-    bullet_set = frozenset(core) | frozenset(ports.values())
-    for z in range(total):
-        if not 0 <= x[z] <= gprime.degrees[z]:
-            raise AssertionError(f"gadget chip count out of range at vertex {z}")
-    for z in bullet_set:
-        if x[z] != 1:
-            raise AssertionError(f"core/port vertex {z} must start with one chip")
+    roles = tuple([f"{kind}:{v}" for kind in "ico" for v in range(n)]
+                  + [f"p:{u}:{v}" for u, v in ports])
 
     return TssToRecInstance(
         gprime=gprime,
@@ -158,9 +138,9 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         core=core,
         outer=outer,
         ports=ports,
-        roles=tuple(roles),
-        circ=circ,
-        bullet=bullet_set,
+        roles=roles,
+        circ=frozenset(inner) | frozenset(outer),
+        bullet=frozenset(core) | frozenset(ports.values()),
         source=g,
         tau=tau,
         forced=len(forced),
@@ -280,11 +260,33 @@ def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, Tss
     most |V| (one seed chip per vertex that is not forced) and the gadget
     chips never exceed the gadget degrees (forced vertices get threshold 0),
     so the apex bound holds without solving anything.
+
+    The apex leg's back map is restriction.  On any apex gadget, with source
+    H on n vertices, chips f on H and f'' on the gadget, and apex
+    multiplicity M: let h be an effective top-up with f'' + h non-halting,
+    h(apex) < M, and h(v) + max(0, f(v) - deg(v)) < M on each vertex v of H.
+    Then f + h restricted to H is recurrent on H.  A game from f'' + h fires
+    every vertex.  Before the apex first fires, no v fires twice: at a first
+    second firing v has received at most deg(v) chips, so it holds at most
+    f(v) + h(v) < deg(v) + M.  The apex needs nM chips, holds fewer than M
+    and gets M per firing on H, so every vertex of H fires first.  That
+    prefix fires each vertex of H once, each with M chips and M degree more
+    than on H, so it is an exactly-once game on H.  Conversely, if f + y is
+    recurrent on H, then y with 0 on the apex is non-halting: the
+    exactly-once game is legal here too, then the apex holds nM and fires,
+    which restores the start.  Here f <= deg and M = |V| + 1, so every
+    top-up of degree at most |V| qualifies, minimum witnesses among them.
     """
     bundle_inst = reduce_tss_to_rec(g, tau)
     apex_inst = _apex_gadget(bundle_inst.gprime, bundle_inst.x, g.n + 1,
                              bundle_inst.roles + ("new",))
     return apex_inst, bundle_inst
+
+
+def _subdivision_points(g: Multigraph) -> list[tuple[int, int]]:
+    """The ends (u, v) of every subdivision point, one per parallel copy of
+    each edge in g.edges() order; point j gets vertex id g.n + j."""
+    return [(u, v) for u, v, m in g.edges() for _copy in range(m)]
 
 
 def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
@@ -293,25 +295,18 @@ def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
     divisor is unchanged."""
     g.require_connected()
     f = validate_divisor(g, f)
-    n = g.n
-    edges = []
-    point = n
-    for u, v, m in g.edges():
-        for _copy in range(m):
-            edges.append((u, point, 1))
-            edges.append((point, v, 1))
-            point += 1
-    if point == n:  # single-vertex graph, nothing to subdivide
+    points = _subdivision_points(g)
+    if not points:  # single-vertex graph, nothing to subdivide
         return g, f
-    g2 = Multigraph(point, edges)
-    f2 = tuple(list(f) + [0] * (point - n))
-    return g2, f2
+    rows = [{} for _ in range(g.n)]
+    for point, (u, v) in enumerate(points, g.n):
+        rows[u][point] = 1
+        rows[v][point] = 1
+        rows.append({u: 1, v: 1})
+    return Multigraph._from_rows(rows, connected=True), f + (0,) * len(points)
 
 
 def subdivision_roles(g: Multigraph) -> tuple[str, ...]:
     """Role strings matching the id layout of subdivide_to_simple."""
-    roles = [f"orig:{v}" for v in range(g.n)]
-    for u, v, m in g.edges():
-        roles.extend([f"sub:{u}:{v}"] * m)
-    return tuple(roles)
-
+    return tuple([f"orig:{v}" for v in range(g.n)]
+                 + [f"sub:{u}:{v}" for u, v in _subdivision_points(g)])

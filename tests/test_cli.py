@@ -440,15 +440,17 @@ def test_each_subcommand_takes_only_its_options(capsys, command):
         argv = [*head, "g", "x", flag, *value]
         if flag in TAKES[command]:
             assert getattr(parser.parse_args(argv), flag[2:]) == parsed
-        elif flag == "--m":
-            # argparse reads an unambiguous prefix as the option it begins
-            args = parser.parse_args(argv)
-            assert (hasattr(args, "m"), args.max_n) == (False, 3)
         else:
+            # refused, --m too: no option is read from its prefix
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # an abbreviation of an option the subcommand takes is refused too
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*head, "g", "x", "--form", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --form json" in capsys.readouterr().err
 
 
 def _cap_address_space():

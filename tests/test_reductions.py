@@ -1,3 +1,5 @@
+import hashlib
+from argparse import Namespace
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ from chipfiring import (
     Multigraph,
     WitnessError,
     classify_halting,
+    cli,
     default_apex_multiplicity,
     dist_nonhalt,
     dist_rec,
@@ -23,6 +26,7 @@ from chipfiring import (
     subdivide_to_simple,
     subdivision_roles,
 )
+from chipfiring.chipfire import add
 from chipfiring.families import (
     complete_graph,
     connected_multigraphs,
@@ -93,6 +97,61 @@ class TestBundleGadget:
             reduce_tss_to_rec(Multigraph(1), (0,))  # too small
         with pytest.raises(GraphStructureError):
             reduce_tss_to_rec(Multigraph(3, [(0, 1, 1)]), (1, 1, 0))  # disconnected
+
+
+def papers_bundle_edges(g, big):
+    """The paper's four edge kinds between gadget roles, each source edge in
+    both directions: v_i-v_c (big), v_c-v_o (1), u_o-p_uv (big), p_uv-v_i (1)."""
+    edges = {}
+    for v in range(g.n):
+        edges[frozenset((f"i:{v}", f"c:{v}"))] = big
+        edges[frozenset((f"c:{v}", f"o:{v}"))] = 1
+    for a, b, _m in g.edges():
+        for u, v in ((a, b), (b, a)):
+            edges[frozenset((f"o:{u}", f"p:{u}:{v}"))] = big
+            edges[frozenset((f"p:{u}:{v}", f"i:{v}"))] = 1
+    return edges
+
+
+class TestBundleGadgetIsThePapers:
+    # 2-4 vertices, tau in [0, deg + 1]: 1,909 instances, forced vertices included
+    FAMILY = [(g, tau) for g in connected_simple_graphs(range(2, 5))
+              for tau in threshold_assignments(g, 0, 1)]
+
+    def test_edges_and_chips_by_role(self):
+        assert len(self.FAMILY) == 1909
+        for g, tau in self.FAMILY:
+            inst = reduce_tss_to_rec(g, tau)
+            big, roles = inst.N, inst.roles
+            assert big == g.n + 2 and len(set(roles)) == inst.gprime.n
+            built = {frozenset((roles[a], roles[b])): m for a, b, m in inst.gprime.edges()}
+            assert built == papers_bundle_edges(g, big)
+            chips = dict(zip(roles, inst.x))
+            for v, d in enumerate(g.degrees):
+                assert chips[f"i:{v}"] == big + d - (tau[v] if tau[v] <= d else 0)
+                assert chips[f"o:{v}"] == big * d
+                assert chips[f"c:{v}"] == 1
+            assert all(chips[r] == 1 for r in roles if r.startswith("p:"))
+
+    def test_cli_bytes(self, capsys):
+        # the JSON bundle `reduce tss-to-nonhalt --format json` prints, and
+        # `subdivide --format json`, hashed over their families
+        args = Namespace(kind="tss-to-nonhalt", format="json", out=None, m=None)
+        digest = hashlib.sha256()
+        for g, tau in self.FAMILY:
+            cli._cmd_reduce(args, g, tau)
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "5d9d76ad9d4d9369f49a65c3f8205a6c0103a860b1eaf1cd2ae1e3752527e649")
+        args = Namespace(format="json", out=None)
+        digest = hashlib.sha256()
+        graphs = connected_multigraphs(4, 6)
+        assert len(graphs) == 63
+        for g in graphs:
+            cli._cmd_subdivide(args, g, tuple(range(-1, g.n - 1)))
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "71941a4cab059f2d1015f8c4a4013af1540b269a5575116387c78c3d437ef015")
 
 
 class TestWitnessTransport:
@@ -305,6 +364,44 @@ class TestComposedReduction:
         assert apex_inst.gpp.n == 9
         assert apex_inst.M == 3
         assert dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value == 1
+
+
+class TestApexLegBackMap:
+    # simple sources of 2-4 vertices, tau in [1, deg]: 163 composed gadgets
+    FAMILY = [(g, tau) for g in connected_simple_graphs(range(2, 5))
+              for tau in threshold_assignments(g, 1, 0)]
+
+    def test_restriction_of_non_halting_top_up_is_recurrent(self):
+        # the dist_nonhalt witness and four random non-minimum non-halting
+        # top-ups per gadget, every entry below M, the apex included
+        rng = Random(18)
+        apex_chips = 0
+        assert len(self.FAMILY) == 163
+        for g, tau in self.FAMILY:
+            apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+            gpp, fpp, M, apex = apex_inst.gpp, apex_inst.fpp, apex_inst.M, apex_inst.new_vertex
+            assert all(x <= d for x, d in zip(bundle_inst.x, bundle_inst.gprime.degrees))
+            best = dist_nonhalt(gpp, fpp)
+            tops = [best.witness]
+            for _ in range(4):
+                h = [0] * gpp.n
+                while (sum(h) <= best.value
+                       or classify_halting(gpp, add(fpp, h)).is_halting):
+                    z = rng.randrange(gpp.n)
+                    h[z] = min(M - 1, h[z] + 1)
+                tops.append(tuple(h))
+                apex_chips += h[apex] > 0
+            for h in tops:
+                assert max(h) < M
+                assert not classify_halting(gpp, add(fpp, h)).is_halting
+                assert is_recurrent(bundle_inst.gprime, xplus(bundle_inst, h[:apex]))[0]
+        assert apex_chips
+
+    def test_recurrence_witness_with_empty_apex_is_non_halting(self):
+        for g, tau in self.FAMILY:
+            apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+            y = dist_rec(bundle_inst.gprime, bundle_inst.x).witness
+            assert not classify_halting(apex_inst.gpp, add(apex_inst.fpp, y + (0,))).is_halting
 
 
 def bundle_edge_list(g):
