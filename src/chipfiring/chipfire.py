@@ -131,13 +131,8 @@ def is_active(g: Multigraph, f, v: int) -> bool:
 def fire(g: Multigraph, f, v: int) -> Divisor:
     """Raw firing of v: legality is not required, this is the bare
     linear-equivalence move."""
-    g._check_vertex(v)
-    f = validate_divisor(g, f)
-    out = list(f)
-    out[v] -= g.degrees[v]
-    for u, m in g.nbrs[v]:
-        out[u] += m
-    return tuple(out)
+    g._check_vertex(v)  # fire_sequence would check the divisor first
+    return fire_sequence(g, f, (v,), require_legal=False)
 
 
 def fire_sequence(g: Multigraph, f, seq, require_legal: bool = True) -> Divisor:
@@ -342,6 +337,17 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay, need) -> bool:
     return False
 
 
+def _game(g: Multigraph, f, rng: Random | None = None):
+    """Play `_play` from f on a connected graph: (halted, order, counts,
+    final), with final the chips where `_play` stops, as a tuple."""
+    g.require_connected()
+    f = validate_divisor(g, f)
+    degs = g.degrees
+    slack = [d - x for d, x in zip(degs, f)]
+    halted, order, counts = _play(degs, g.nbrs, slack, rng)
+    return halted, order, counts, tuple(d - s for d, s in zip(degs, slack))
+
+
 def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict:
     """Decide whether the game from f halts.
 
@@ -351,15 +357,10 @@ def classify_halting(g: Multigraph, f, rng: Random | None = None) -> HaltVerdict
     byte-reproducible; pass an rng to randomize the policy (the verdict and
     the stable divisor do not depend on it).
     """
-    g.require_connected()
-    f = validate_divisor(g, f)
-    degs = g.degrees
-    slack = [d - x for d, x in zip(degs, f)]
-    halted, order, counts = _play(degs, g.nbrs, slack, rng)
-    chips = tuple(d - s for d, s in zip(degs, slack))
+    halted, order, counts, final = _game(g, f, rng)
     if halted:
-        return HaltVerdict(HALTING, stable=chips)
-    return HaltVerdict(NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), chips))
+        return HaltVerdict(HALTING, stable=final)
+    return HaltVerdict(NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), final))
 
 
 def is_recurrent(g: Multigraph, f) -> tuple[bool, GameTrace | None]:

@@ -15,14 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 from random import Random
 
 from . import chipfire, distance, multigraph, oracles, reductions, tss
-from .errors import ChipFiringError
+from .errors import ChipFiringError, SizeGuardError
 from .multigraph import Multigraph, graph_to_json, graph_to_text
 
 GUARDS = {"game": 16, "tss": 20, "verify-chain": 6}
+# the most top-ups an --oracle cross-check may scan, see _check_scan
+ORACLE_SCAN = 100_000
 
 
 def _read(path: str) -> str:
@@ -83,10 +86,24 @@ def _emit(args, obj, text: str, value=None, oracle=None) -> int:
     return 0 if agree else 1
 
 
+def _check_scan(top_ups: int) -> None:
+    """Refuse an oracle that would scan more than ORACLE_SCAN top-ups,
+    before it starts.  The count comes from the pipeline's answer, so if
+    that answer is too high, the CLI refuses with exit 2 rather than
+    reporting a disagreement."""
+    if top_ups > ORACLE_SCAN:
+        raise SizeGuardError(f"the oracle would scan {top_ups} top-ups, above its bound of "
+                             f"{ORACLE_SCAN}; run without --oracle")
+
+
 def _cmd_rank(args, g: Multigraph, f) -> int:
     value = distance.rank(g, f)
-    return _emit(args, {"rank": value}, f"rank {value}", value,
-                 lambda: oracles.rank_definitional(g, f))
+
+    def check() -> int:
+        _check_scan(comb(value + 1 + g.n, g.n))  # every top-up of degree <= rank + 1
+        return oracles.rank_definitional(g, f)
+
+    return _emit(args, {"rank": value}, f"rank {value}", value, check)
 
 
 def _cmd_winnable(args, g: Multigraph, f) -> int:
@@ -137,15 +154,9 @@ def _cmd_dist_rec(args, g: Multigraph, f) -> int:
     result = distance.dist_rec(g, f)
 
     def check() -> bool:
-        # independent scan: permutation-search recurrence over all smaller degrees
-        reached = tuple(a + b for a, b in zip(f, result.witness))
-        if not oracles.recurrent_permutation(g, reached):
-            return False
-        for k in range(result.value):
-            for cand in distance.effective_divisors(k, g.n):
-                if oracles.recurrent_permutation(g, tuple(a + b for a, b in zip(f, cand))):
-                    return False
-        return True
+        value = result.value  # the top-ups of degree value - 1 alone
+        _check_scan(comb(value - 2 + g.n, g.n - 1) if value else 0)
+        return oracles.is_least_recurrent_top_up(g, f, result.witness)
 
     return _emit_distance(args, result, check)
 
@@ -156,6 +167,7 @@ def _cmd_dist_nonhalt(args, g: Multigraph, f) -> int:
     def check() -> int:
         # f + g halts exactly when deg - 1 - f - g is winnable, so the
         # distance is one more than the rank of deg - 1 - f
+        _check_scan(comb(result.value + g.n, g.n))  # every top-up of degree <= distance
         return oracles.rank_definitional(g, chipfire.winnability_complement(g, f)) + 1
 
     return _emit_distance(args, result, check, result.value)
@@ -169,21 +181,16 @@ def _cmd_tss(args, g: Multigraph, tau) -> int:
 
 
 def _cmd_trace(args, g: Multigraph, f) -> int:
-    g.require_connected()
     rng = Random(args.seed) if args.seed is not None else None
-    degs = g.degrees
-    slack = [d - x for d, x in zip(degs, f)]
-    halted, order, counts = chipfire._play(degs, g.nbrs, slack, rng)
+    halted, order, counts, final = chipfire._game(g, f, rng)
     if halted and rng is not None:
         # a halting game is logged in the canonical order; its end is the same
-        slack = [d - x for d, x in zip(degs, f)]
-        _halted, order, counts = chipfire._play(degs, g.nbrs, slack)
-    chips = [d - s for d, s in zip(degs, slack)]
+        _halted, order, counts, final = chipfire._game(g, f)
     kind = chipfire.HALTING if halted else chipfire.NON_HALTING
-    obj = {"kind": kind, "order": order, "counts": counts, "final": chips}
+    obj = {"kind": kind, "order": order, "counts": counts, "final": final}
     if halted:
         text = f"halting after {len(order)} firings: {' '.join(map(str, order))}\n" \
-               f"stable {' '.join(map(str, chips))}"
+               f"stable {' '.join(map(str, final))}"
     else:
         text = (
             f"non-halting; every vertex fired within {len(order)} firings: "

@@ -1,12 +1,13 @@
 """Independent brute-force oracles that certify the main pipeline.
 
 Everything here re-derives its answer from definitions, deliberately sharing
-no game-engine or closure code with the other modules: the greedy engine is
-checked against permutation search, the target-set solver against an
-independent subset scan, and the rank pipeline against the raw definition
-with winnability decided by a bounded search over firing-count vectors.
-Each oracle call builds its own dense multiplicity matrix from the public
-`Multigraph.edges()`, never reading the adjacency lists the pipeline runs on.
+no game-engine, closure or top-up enumeration code with the other modules:
+the greedy engine is checked against permutation search, the target-set
+solver against an independent subset scan, and the rank pipeline against the
+raw definition with winnability decided by a bounded search over
+firing-count vectors.  Each oracle call builds its own dense multiplicity
+matrix from the public `Multigraph.edges()`, never reading the adjacency
+lists the pipeline runs on.
 
 The bounded winnability search asks whether some integer vector z with
 entries in [0, bound] makes f minus the net chip flow of firing each vertex
@@ -26,11 +27,11 @@ and the enumeration pins it down in tests.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from json import dumps
 from typing import NamedTuple
 
-from .distance import dist_nonhalt, dist_rec, effective_divisors
+from .distance import dist_nonhalt, dist_rec
 from .errors import SizeGuardError
 from .multigraph import Multigraph, graph_to_text
 from .reductions import reduce_tss_to_nonhalt
@@ -75,6 +76,18 @@ def _dense(g: Multigraph) -> list[list[int]]:
     for u, v, m in g.edges():
         mult[u][v] = mult[v][u] = m
     return mult
+
+
+def _top_ups(k: int, n: int):
+    """Every effective divisor of degree k on n vertices, one at a time,
+    chips on the lowest vertex ids first (descending lexicographic order):
+    each multiset of k vertices, in the order itertools gives, counted
+    into a vector."""
+    for spots in combinations_with_replacement(range(n), k):
+        top = [0] * n
+        for v in spots:
+            top[v] += 1
+        yield tuple(top)
 
 
 def recurrent_permutation(g: Multigraph, f) -> bool:
@@ -215,17 +228,27 @@ def winnable_exhaustive(g: Multigraph, f, bound: int) -> bool:
     return False
 
 
-def rank_definitional(g: Multigraph, f, winnability_bound: int | None = None) -> int:
+def is_least_recurrent_top_up(g: Multigraph, f, y) -> bool:
+    """Whether f + y is recurrent and no effective top-up of lower degree
+    makes f recurrent.  Only degree deg y - 1 is scanned: an order firing
+    every vertex exactly once stays legal with more chips, so adding chips
+    to a recurrent top-up of lower degree would give one of that degree."""
+    def recurrent(z):
+        return recurrent_permutation(g, tuple(a + b for a, b in zip(f, z)))
+
+    return recurrent(y) and not (sum(y) and any(map(recurrent, _top_ups(sum(y) - 1, g.n))))
+
+
+def rank_definitional(g: Multigraph, f) -> int:
     """Rank straight from the definition: one less than the least degree of
     an effective g with f - g not winnable, independent of the game engine."""
     g.require_connected()
     f = tuple(f)
-    n = g.n
     if sum(f) < 0:
         return -1
-    bound = winnability_bound if winnability_bound is not None else default_winnability_bound(g, f)
+    bound = default_winnability_bound(g, f)
     for k in range(sum(f) + 2):
-        for cand in effective_divisors(k, n):
+        for cand in _top_ups(k, g.n):
             reduced = tuple(a - b for a, b in zip(f, cand))
             if not winnable_within_bound(g, reduced, bound):
                 return k - 1

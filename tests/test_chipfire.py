@@ -44,6 +44,9 @@ def test_fire_examples():
     assert fire(K2, (1, 0), 0) == (0, 1)
     assert fire(two_vertex_bundle(4), (4, 0), 0) == (0, 4)
     assert fire(C3, (2, 0, 0), 0) == (0, 1, 1)
+    assert fire(K2, (0, 0), 0) == (-1, 1)  # legality is not required
+    with pytest.raises(InvalidVertexError):  # the vertex is checked before the divisor
+        fire(K2, (1,), 2)
 
 
 def test_is_active():

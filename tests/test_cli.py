@@ -11,6 +11,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,8 @@ FILES = {
     "c3.thr": "1 1 1\n",
     "k2.thr": "1 1\n",
     "bool-edge.graph": '{"n": 2, "edges": [[0, true, 1]]}\n',
+    "two-counts.graph": "3 4\n0 1 1\n",
+    "edge-map.graph": '{"n": 2, "edges": {"0": [1, 1]}}\n',
     # beyond Python's 4300-digit limit on decoding an int
     "long.graph": '{"n": 2, "edges": [[0, 1, %s]]}\n' % ("1" * 5000),
     "long.div": '{"chips": [%s, 0]}\n' % ("1" * 5000),
@@ -307,6 +311,14 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
             "error: edge endpoints must be integers, got [0, True, 1]\n",
         ),
         (
+            ("halting", "two-counts.graph", "zero2.div", *J),
+            "error: first line must be the vertex count, got '3 4'\n",
+        ),
+        (
+            ("halting", "edge-map.graph", "zero2.div", *J),
+            'error: "edges" must be a list of [u, v, m] triples\n',
+        ),
+        (
             ("halting", "long.graph", "zero2.div", *J),
             f"error: invalid JSON graph: {_json_error('long.graph')}\n",
         ),
@@ -375,7 +387,7 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
         ),
     ],
     ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
-         "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
+         "two-vertex-counts", "edges-not-a-list", "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
          "non-utf8-divisor", "non-utf8-thresholds", "long-text-divisor", "long-text-thresholds",
          "long-text-vertex-count", "long-text-edge", "m-tss-to-rec", "m-tss-to-nonhalt",
          "m-at-bound", "out-unwritable", "verify-chain-no-thresholds",
@@ -645,6 +657,33 @@ def test_rank_of_one_chip_per_vertex_on_a_cycle_within_seconds(tmp_path, n):
     (tmp_path / "x.div").write_text(divisor_to_text((1,) * n))
     proc = _run_capped(tmp_path, ["rank", "g.graph", "x.div", *J], timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"rank": {n - 1}}}\n', "")
+
+
+@pytest.mark.parametrize(
+    "command, graph, vector, top_ups",
+    [
+        # rank 23 by Riemann-Roch; the oracle would scan every top-up of
+        # degree <= 24 on 12 vertices
+        ("rank", cycle_graph(12), (2,) * 12, comb(36, 12)),
+        # distance 8; the oracle would scan every top-up of degree <= 8
+        ("dist-nonhalt", cycle_graph(12), (2, 2) + (0,) * 10, comb(20, 12)),
+        # distance 18; the oracle would scan the top-ups of degree 17 alone
+        ("dist-rec", cycle_graph(9), (-1,) * 9, comb(25, 8)),
+    ],
+    ids=["rank", "dist-nonhalt", "dist-rec"],
+)
+@pytest.mark.parametrize("max_n", [(), ("--max-n", "40")], ids=["guard", "max-n"])
+def test_oracle_refuses_a_scan_above_its_bound(tmp_path, command, graph, vector, top_ups, max_n):
+    # the count is known before the oracle starts; --max-n does not lift it
+    (tmp_path / "g.graph").write_text(graph_to_text(graph))
+    (tmp_path / "x.div").write_text(divisor_to_text(vector))
+    start = time.monotonic()
+    proc = _run_capped(tmp_path, [command, "g.graph", "x.div", "--oracle", *J, *max_n], timeout=30)
+    assert time.monotonic() - start < 2
+    assert top_ups > cli.ORACLE_SCAN
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"error: the oracle would scan {top_ups} top-ups, above its "
+                                f"bound of {cli.ORACLE_SCAN}; run without --oracle\n")
 
 
 def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):

@@ -248,6 +248,10 @@ def test_parse_errors():
         parse_graph('{"n": 2}')
     with pytest.raises(FormatError):
         parse_graph('{"n": 2, "edges": [[0, 0, 1]]}')
+    with pytest.raises(FormatError, match="^first line must be the vertex count, got '3 4'$"):
+        parse_graph("3 4\n0 1 1\n")
+    with pytest.raises(FormatError, match='^"edges" must be a list of'):
+        parse_graph('{"n": 2, "edges": {"0": [1, 1]}}')
 
 
 @given(st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=8))

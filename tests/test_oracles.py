@@ -21,10 +21,15 @@ from chipfiring.families import (
     random_divisor,
     threshold_assignments,
 )
+from chipfiring.distance import dist_rec, effective_divisors
 from chipfiring.oracles import (
+    EXHAUSTIVE_GUARD,
+    SUBSET_GUARD,
     OracleReport,
+    _top_ups,
     default_winnability_bound,
     instance_fingerprint,
+    is_least_recurrent_top_up,
     rank_definitional,
     recurrent_permutation,
     ts_subset_enumeration,
@@ -47,6 +52,48 @@ def test_recurrent_permutation_guard():
     big = path_graph(10)
     with pytest.raises(SizeGuardError):
         recurrent_permutation(big, (0,) * 10)
+
+
+def test_subset_and_exhaustive_guards():
+    n = SUBSET_GUARD + 1
+    with pytest.raises(SizeGuardError):
+        ts_subset_enumeration(path_graph(n), (1,) * n)
+    assert 11 ** 6 > EXHAUSTIVE_GUARD  # firing-count vectors in [0, 10] ** 6
+    with pytest.raises(SizeGuardError):
+        winnable_exhaustive(path_graph(6), (-1,) + (0,) * 5, 10)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_top_ups_follow_the_pipeline_enumeration(n):
+    for k in range(6):
+        assert tuple(_top_ups(k, n)) == effective_divisors(k, n)
+
+
+def _least_by_every_level(g, f, y):
+    """f + y recurrent, and no top-up of any smaller degree recurrent."""
+    def recurrent(z):
+        return recurrent_permutation(g, tuple(a + b for a, b in zip(f, z)))
+
+    levels = (effective_divisors(k, g.n) for k in range(sum(y)))
+    return recurrent(y) and not any(recurrent(z) for level in levels for z in level)
+
+
+def test_least_recurrent_top_up_matches_every_level_scan():
+    # the least top-up and two that are not least, one and two chips above
+    # it: a scan of the level below alone must see the smaller recurrent ones
+    rng = Random(7)
+    positive = 0
+    for _ in range(500):
+        g = random_connected_multigraph(rng, max_n=5, max_extra_edges=2)
+        f = random_divisor(rng, g, low=-1, high_offset=1)
+        w = dist_rec(g, f).witness
+        positive += sum(w) > 0
+        v = rng.randrange(g.n)
+        for extra in range(3):
+            y = tuple(c + extra * (u == v) for u, c in enumerate(w))
+            assert is_least_recurrent_top_up(g, f, y) == _least_by_every_level(g, f, y) \
+                == (extra == 0), (g.edges(), f, y)
+    assert positive >= 300
 
 
 def test_ts_subset_examples():
