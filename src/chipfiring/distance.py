@@ -16,9 +16,11 @@ to the next vertex (the entry at n - 1 only holds what the others leave, so
 the change never starts there).  So the prefix states up to that entry are
 kept, and each candidate adds at most two entries to a kept state.  A zero
 entry passes the state on; a positive one plays only the avalanche from its
-vertex, the only one it can make active.  Both distances are exponential by
-design.  Raising every vertex to its degree reaches a recurrent, hence
-non-halting, divisor, which bounds both.
+vertex, the only one it can make active.  `effective_divisors` builds each
+level by the same rule, so it caches only the levels asked for, never a
+smaller sub-table.  Both distances are exponential by design.  Raising every
+vertex to its degree reaches a recurrent, hence non-halting, divisor, which
+bounds both.
 
 f + g halts exactly when its winnability complement deg - 1 - f - g is
 winnable, and winnability depends only on the linear equivalence class.  So
@@ -63,13 +65,21 @@ class DistanceResult(NamedTuple):
 @lru_cache(maxsize=None)
 def effective_divisors(total: int, n: int) -> tuple[Divisor, ...]:
     """All effective divisors of the given degree on n vertices, ordered with
-    chips on the lowest vertex ids first."""
-    if n == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in effective_divisors(total - first, n - 1):
-            out.append((first,) + rest)
+    chips on the lowest vertex ids first, each from its predecessor by the
+    successor rule of placement order."""
+    top = [total] + [0] * (n - 1)
+    out = [tuple(top)]
+    j = 0  # the last nonzero entry before n - 1
+    while top[-1] < total:
+        moved = top[-1] + 1
+        top[-1] = 0
+        top[j] -= 1
+        top[j + 1] += moved
+        out.append(tuple(top))
+        if j < n - 2:
+            j += 1
+        while j > 0 and not top[j]:
+            j -= 1
     return tuple(out)
 
 

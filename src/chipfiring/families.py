@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from random import Random
 
-from .distance import effective_divisors
 from .multigraph import Multigraph
 
 
 def cycle_graph(n: int) -> Multigraph:
-    if n == 2:
-        return Multigraph(2, [(0, 1, 2)])
     return Multigraph(n, [(v, (v + 1) % n, 1) for v in range(n)])
 
 
@@ -53,6 +50,18 @@ def _canonical_key(g: Multigraph) -> tuple:
     return (n, best)
 
 
+def _classes(n: int, edge_lists) -> list[Multigraph]:
+    """The connected graphs on n vertices built from the given lists of
+    (u, v) pairs, each pair one edge, keeping the first of each isomorphism
+    class in the order given."""
+    first = {}
+    for edges in edge_lists:
+        g = Multigraph(n, [(u, v, 1) for u, v in edges])
+        if g.is_connected():
+            first.setdefault(_canonical_key(g), g)
+    return list(first.values())
+
+
 def connected_multigraphs(max_n: int, max_edges: int, min_n: int = 1):
     """All connected multigraphs with at most max_n vertices and max_edges
     edges (counted with multiplicity), one representative per isomorphism
@@ -60,21 +69,8 @@ def connected_multigraphs(max_n: int, max_edges: int, min_n: int = 1):
     out = []
     for n in range(min_n, max_n + 1):
         pairs = list(combinations(range(n), 2))
-        if n == 1:
-            out.append(Multigraph(1))
-            continue
-        seen = set()
-        for total in range(n - 1, max_edges + 1):
-            for counts in effective_divisors(total, len(pairs)):
-                edges = [(u, v, m) for (u, v), m in zip(pairs, counts) if m]
-                g = Multigraph(n, edges)
-                if not g.is_connected():
-                    continue
-                key = _canonical_key(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(g)
+        out += _classes(n, chain.from_iterable(
+            combinations_with_replacement(pairs, total) for total in range(n - 1, max_edges + 1)))
     return out
 
 
@@ -82,21 +78,9 @@ def connected_simple_graphs(n_values):
     """Connected simple graphs, one per isomorphism class, for each n."""
     out = []
     for n in n_values:
-        if n == 1:
-            out.append(Multigraph(1))
-            continue
         pairs = list(combinations(range(n), 2))
-        seen = set()
-        for r in range(n - 1, len(pairs) + 1):
-            for chosen in combinations(pairs, r):
-                g = Multigraph(n, [(u, v, 1) for u, v in chosen])
-                if not g.is_connected():
-                    continue
-                key = _canonical_key(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(g)
+        out += _classes(n, chain.from_iterable(
+            combinations(pairs, r) for r in range(n - 1, len(pairs) + 1)))
     return out
 
 
@@ -108,8 +92,7 @@ def divisors_in_box(g: Multigraph, low: int, high_offset: int):
 
 def threshold_assignments(g: Multigraph, low: int = 1, high_offset: int = 1):
     """Every threshold vector with entries in [low, degree(v) + high_offset]."""
-    ranges = [range(low, d + high_offset + 1) for d in g.degrees]
-    return product(*ranges)
+    return divisors_in_box(g, low, high_offset)
 
 
 def random_connected_multigraph(rng: Random, max_n: int = 8, max_extra_edges: int = 4,

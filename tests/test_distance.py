@@ -1,8 +1,14 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import chipfiring
 from chipfiring import (
     DisconnectedGraphError,
     Multigraph,
@@ -27,7 +33,7 @@ from chipfiring.families import (
     random_divisor,
     threshold_assignments,
 )
-from chipfiring.oracles import rank_definitional
+from chipfiring.oracles import _top_ups, rank_definitional
 from chipfiring.reductions import reduce_tss_to_rec
 
 K2 = Multigraph(2, [(0, 1, 1)])
@@ -191,7 +197,7 @@ def test_rank_nonnegative_iff_winnable(gf):
 
 def _naive_dist(g, f, predicate):
     for k in range(upper_bound_to_recurrent(g, f) + 1):
-        for cand in effective_divisors(k, g.n):
+        for cand in _top_ups(k, g.n):
             if predicate(tuple(a + b for a, b in zip(f, cand))):
                 return DistanceResult(k, cand)
     raise AssertionError
@@ -259,7 +265,7 @@ def _dist_nonhalt_from_scratch(g, f):
     if not _play(degs, nbrs, slack)[0]:
         return DistanceResult(0, (0,) * n)
     for k in range(max(1, g.edge_count - sum(f)), upper_bound_to_recurrent(g, f) + 1):
-        for cand in effective_divisors(k, n):
+        for cand in _top_ups(k, n):
             trial = [s - c for s, c in zip(slack, cand)]
             if not _play(degs, nbrs, trial)[0]:
                 return DistanceResult(k, cand)
@@ -295,6 +301,25 @@ def test_dist_nonhalt_matches_from_scratch_search_at_deep_levels():
         if 5 <= expected.value <= 15:
             assert dist_nonhalt(g, f) == expected, (edges, f)
             kept += 1
+
+
+def _cap_address_space_128_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+
+def test_dist_nonhalt_on_the_k5_apex_gadget_fits_in_128_mib():
+    # the 36-vertex apex gadget of K5 at tau 4 searches levels 1-4 on 36
+    # vertices; a top-up table that cached every smaller sub-table ran out
+    # of memory here
+    src = str(Path(chipfiring.__file__).resolve().parents[1])
+    code = ("from chipfiring import dist_nonhalt, reduce_tss_to_nonhalt\n"
+            "from chipfiring.families import complete_graph\n"
+            "apex, _ = reduce_tss_to_nonhalt(complete_graph(5), (4,) * 5)\n"
+            "print(apex.gpp.n, dist_nonhalt(apex.gpp, apex.fpp).value)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_cap_address_space_128_mib, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "36 4\n", "")
 
 
 def test_rank_matches_definitional_sample():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -16,6 +17,7 @@ from chipfiring import (
 )
 from chipfiring.chipfire import divisor_to_json, divisor_to_text, parse_divisor
 from chipfiring.families import (
+    connected_multigraphs,
     connected_simple_graphs,
     cycle_graph,
     path_graph,
@@ -304,3 +306,23 @@ def test_parse_thresholds_errors(text, message):
 def test_connected_simple_graph_class_counts(n, classes):
     # OEIS A001349: connected graphs on n unlabelled vertices
     assert len(connected_simple_graphs([n])) == classes
+
+
+@pytest.mark.parametrize("family, digest", [
+    (lambda: connected_multigraphs(4, 6),
+     "50b67f7c82b2f1969c4855092ad63924be831ddaca78fc6b34b35bcd530d017f"),
+    (lambda: connected_multigraphs(4, 5, min_n=2),
+     "0cad52f2bb8395841a1f29a2f3b0b875377c808524226a1d5098c739818509b1"),
+    (lambda: connected_simple_graphs(range(1, 6)),
+     "e341a6c245ef1b2f55483445c146b9a13b9425e001cd8a52f6110d5b8efbeee9"),
+], ids=["multigraphs-4-6", "multigraphs-4-5-from-2", "simple-1-5"])
+def test_exhaustive_families_keep_their_graphs_and_order(family, digest):
+    # the exhaustive checks elsewhere run over these lists: the same graphs,
+    # with the same vertex labels, in the same order
+    nbrs = repr([g.nbrs for g in family()])
+    assert hashlib.sha256(nbrs.encode()).hexdigest() == digest
+
+
+def test_small_family_members():
+    assert cycle_graph(2) == two_vertex_bundle(2)
+    assert connected_multigraphs(1, 3) == connected_simple_graphs([1]) == [Multigraph(1)]
