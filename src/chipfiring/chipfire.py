@@ -50,14 +50,14 @@ fired vertex and no vertex beyond its slack: by the exchange argument above
 the cascade completes without those chips, so no least-cost vector has them.
 It skips only what cannot complete within the budget, so it finds the same
 vector: slack above the degree is paid up front (a vertex receives at most
-its degree); the budget starts at a lower bound (each edge among unfired
-vertices delivers once, payments cover the rest, a seed at most its slack);
-with seeds, every branch is held to that bound again, counting only the
-vertices it may still seed and the seeds it has left; a payment short of a
-slack, which fires nothing, needs budget left to pay a later vertex in
-full; and an unseeded vertex must fire once all later vertices are seeded.
-Paying chips, the search keeps the bound at the root only: its nodes are
-many and cheap, and checking each costs more than it cuts.
+its degree); each edge among unfired vertices delivers once and payments
+cover the rest, so paying chips the budget starts at that bound, and with
+seeds every branch, the root included, is held to it, counting only the
+vertices it may still seed (a seed at most its slack) and the seeds it has
+left; a payment short of a slack, which fires nothing, needs budget left to
+pay a later vertex in full; and an unseeded vertex must fire once all later
+vertices are seeded.  Paying chips, the bound is checked at the root only:
+the nodes are many and cheap, and checking each costs more than it cuts.
 
 Winnability is decided by a game whose length does not grow with the chip
 count.  Firing keeps the degree, so a negative degree is never winnable,
@@ -248,9 +248,9 @@ def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
     order, of payments after which `_cascade` fires every vertex: p chips
     lower a slack by p at cost p, or with `unit` a seed zeroes it at cost 1.
 
-    The budget starts at the lower bound: `need`, the slack of the unfired
-    vertices minus the edges among them, in chips, or `_seeds_needed` for
-    it in seeds.  `_top_up` applies the seed bound again at every branch."""
+    Paying chips, the budget starts at `need`, the slack of the unfired
+    vertices minus the edges among them; with seeds it starts at 1, and a
+    budget below `_top_up`'s seed bound fails at its first unfired vertex."""
     n = len(slack)
     slack, done, pay = list(slack), bytearray(n), [0] * n
     for v, d in enumerate(degs):
@@ -262,8 +262,8 @@ def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
         # each edge among the unfired delivers once, payments cover the rest
         edges = sum(m for v in unfired for u, m in nbrs[v] if u < v and not done[u])
         need = sum(slack[v] for v in unfired) - edges
-        lower = _seeds_needed(slack, done, 0, need) if unit else need
-        next(k for k in count(max(lower, 1)) if _top_up(nbrs, slack, done, left, 0, k, unit, pay, need))
+        first = 1 if unit else max(need, 1)
+        next(k for k in count(first) if _top_up(nbrs, slack, done, left, 0, k, unit, pay, need))
     return sum(pay), tuple(pay)
 
 
@@ -306,8 +306,7 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay, need) -> bool:
     for i in range(start, n):
         if done[i]:
             continue
-        # at vertex 0 this is the root, whose budget starts at the bound
-        if unit and i and _seeds_needed(slack, done, i, need) > budget:
+        if unit and _seeds_needed(slack, done, i, need) > budget:
             return False
         s = slack[i]
         # a payment short of s fires nothing: it must leave room to pay a

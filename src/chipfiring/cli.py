@@ -26,6 +26,8 @@ from .multigraph import Multigraph, graph_to_json, graph_to_text
 GUARDS = {"game": 16, "tss": 20, "verify-chain": 6}
 # the most top-ups an --oracle cross-check may scan, see _check_scan
 ORACLE_SCAN = 100_000
+# the most lowerings its winnability descent may make, see _check_descent
+ORACLE_DESCENT = 100_000
 
 
 def _read(path: str) -> str:
@@ -96,11 +98,23 @@ def _check_scan(top_ups: int) -> None:
                              f"{ORACLE_SCAN}; run without --oracle")
 
 
+def _check_descent(g: Multigraph, f) -> None:
+    """Refuse an oracle whose winnability descent on f could make more than
+    ORACLE_DESCENT lowerings, before it starts: each lowers one of n counts
+    that start at the bound and stay at least 0, so there are at most
+    n * (bound + 1), and the bound grows with the chips of f."""
+    lowerings = g.n * (oracles.default_winnability_bound(g, f) + 1)
+    if lowerings > ORACLE_DESCENT:
+        raise SizeGuardError(f"the oracle's descent could make {lowerings} lowerings, above its "
+                             f"bound of {ORACLE_DESCENT}; run without --oracle")
+
+
 def _cmd_rank(args, g: Multigraph, f) -> int:
     value = distance.rank(g, f)
 
     def check() -> int:
         _check_scan(comb(value + 1 + g.n, g.n))  # every top-up of degree <= rank + 1
+        _check_descent(g, f)  # once per top-up
         return oracles.rank_definitional(g, f)
 
     return _emit(args, {"rank": value}, f"rank {value}", value, check)
@@ -110,6 +124,7 @@ def _cmd_winnable(args, g: Multigraph, f) -> int:
     value = chipfire.is_winnable(g, f)
 
     def check() -> bool:
+        _check_descent(g, f)
         return oracles.winnable_within_bound(g, f, oracles.default_winnability_bound(g, f))
 
     return _emit(args, {"winnable": value}, "winnable" if value else "not winnable", value, check)
@@ -168,7 +183,9 @@ def _cmd_dist_nonhalt(args, g: Multigraph, f) -> int:
         # f + g halts exactly when deg - 1 - f - g is winnable, so the
         # distance is one more than the rank of deg - 1 - f
         _check_scan(comb(result.value + g.n, g.n))  # every top-up of degree <= distance
-        return oracles.rank_definitional(g, chipfire.winnability_complement(g, f)) + 1
+        complement = chipfire.winnability_complement(g, f)
+        _check_descent(g, complement)  # once per top-up
+        return oracles.rank_definitional(g, complement) + 1
 
     return _emit_distance(args, result, check, result.value)
 

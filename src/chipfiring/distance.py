@@ -145,10 +145,9 @@ def rank(g: Multigraph, f) -> int:
     of degree below G - 1 falls in one of the other two cases.  Degrees in
     [0, G - 1] are searched: one less than the distance of deg - 1 - f from
     a non-halting state."""
-    g.require_connected()
+    genus = g.genus()  # raises on a disconnected graph, before f is checked
     f = validate_divisor(g, f)
     d = deg(f)
-    genus = g.edge_count - g.n + 1
     if d < 0:
         # degree is invariant under firing, so no effective equivalent exists
         return -1

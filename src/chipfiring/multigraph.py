@@ -12,8 +12,8 @@ Every graph's rows come from one private constructor, `_set_rows`: it
 takes per-vertex neighbor -> multiplicity maps and derives the stored lists,
 degrees and edge count, so the stored format is known here only.
 `Multigraph(n, edges)` validates the edge list into such maps and hands
-them on; gadget constructions whose maps are valid by construction reach it
-through `Multigraph._from_rows`, skipping the per-edge checks.
+them on; gadget maps, valid and connected by construction, reach it through
+`Multigraph._from_rows`, which skips the checks and marks the graph connected.
 
 Every input file is read through the helpers at the end of this module: a
 graph file is decoded once, into the object `graph_from_json` builds from,
@@ -78,21 +78,21 @@ class Multigraph:
             row[u] = row.get(u, 0) + k
         self._set_rows(rows)
 
-    def _set_rows(self, rows: list[dict[int, int]], connected: bool | None = None) -> None:
+    def _set_rows(self, rows: list[dict[int, int]]) -> None:
         self.n = len(rows)
         self.nbrs = tuple(tuple(sorted(row.items())) for row in rows)
         self.degrees = tuple(sum(row.values()) for row in rows)
         self.edge_count = sum(self.degrees) // 2
-        self._connected = connected
-        self._simple = None
+        self._connected = self._simple = None
 
     @classmethod
-    def _from_rows(cls, rows: list[dict[int, int]], connected: bool | None = None) -> Multigraph:
-        """A graph with the given neighbor -> multiplicity maps, trusted as
-        they are: symmetric, in range, without self-loops, multiplicities
-        positive ints.  `connected` presets the connectivity verdict."""
+    def _from_rows(cls, rows: list[dict[int, int]]) -> Multigraph:
+        """A connected graph with the given neighbor -> multiplicity maps,
+        trusted as they are: symmetric, in range, without self-loops,
+        multiplicities positive ints, and connected, as every gadget is."""
         g = cls.__new__(cls)
-        g._set_rows(rows, connected)
+        g._set_rows(rows)
+        g._connected = True
         return g
 
     def _check_vertex(self, v: int) -> None:

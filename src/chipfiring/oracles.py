@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, combinations_with_replacement, product
 from json import dumps
+from operator import eq, gt
 from typing import NamedTuple
 
 from .distance import dist_nonhalt, dist_rec
@@ -268,17 +269,13 @@ def verify_reduction_chain(g: Multigraph, tau) -> list[OracleReport]:
     rec_value = dist_rec(bundle_inst.gprime, bundle_inst.x).value
     nonhalt_value = dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value
     forced = bundle_inst.forced
-    return [
-        OracleReport("target-set-size/subset-oracle", ts_pipeline, ts_oracle,
-                     ts_pipeline == ts_oracle, fp),
-        OracleReport("target-set-size/dist-rec", ts_pipeline, rec_value + forced,
-                     ts_pipeline == rec_value + forced, fp),
-        OracleReport("dist-rec/dist-nonhalt", rec_value, nonhalt_value,
-                     rec_value == nonhalt_value, fp),
-        OracleReport("target-set-size/dist-nonhalt", ts_pipeline, nonhalt_value + forced,
-                     ts_pipeline == nonhalt_value + forced, fp),
-        OracleReport("bundle-margin (N vs dist-rec + 1)", bundle_inst.N, rec_value + 1,
-                     bundle_inst.N > rec_value + 1, fp),
-        OracleReport("apex-margin (M vs dist-nonhalt)", apex_inst.M, nonhalt_value,
-                     apex_inst.M > nonhalt_value, fp),
+    rows = [
+        ("target-set-size/subset-oracle", ts_pipeline, ts_oracle, eq),
+        ("target-set-size/dist-rec", ts_pipeline, rec_value + forced, eq),
+        ("dist-rec/dist-nonhalt", rec_value, nonhalt_value, eq),
+        ("target-set-size/dist-nonhalt", ts_pipeline, nonhalt_value + forced, eq),
+        ("bundle-margin (N vs dist-rec + 1)", bundle_inst.N, rec_value + 1, gt),
+        ("apex-margin (M vs dist-nonhalt)", apex_inst.M, nonhalt_value, gt),
     ]
+    return [OracleReport(quantity, pipeline, oracle, holds(pipeline, oracle), fp)
+            for quantity, pipeline, oracle, holds in rows]

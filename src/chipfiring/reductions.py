@@ -119,7 +119,7 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
             rows[outer[u]][p] = bundle
             rows.append({outer[u]: bundle, inner[v]: 1})
             rows[inner[v]][p] = 1
-    gprime = Multigraph._from_rows(rows, connected=True)
+    gprime = Multigraph._from_rows(rows)
 
     # deg - N = 1 on cores and ports, deg - 1 on outer vertices, and deg - tau
     # on inner ones (all of deg when v is forced)
@@ -246,7 +246,7 @@ def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int,
     for row in rows:
         row[apex] = M
     rows.append(dict.fromkeys(range(n), M))
-    gpp = Multigraph._from_rows(rows, connected=True)
+    gpp = Multigraph._from_rows(rows)
     fpp = tuple(list(x + M for x in f) + [0])
     return RecToNonhaltInstance(
         gpp=gpp, fpp=fpp, M=M, new_vertex=apex, roles=roles, source=g, f=f
@@ -303,7 +303,7 @@ def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
         rows[u][point] = 1
         rows[v][point] = 1
         rows.append({u: 1, v: 1})
-    return Multigraph._from_rows(rows, connected=True), f + (0,) * len(points)
+    return Multigraph._from_rows(rows), f + (0,) * len(points)
 
 
 def subdivision_roles(g: Multigraph) -> tuple[str, ...]:

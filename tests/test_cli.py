@@ -686,6 +686,46 @@ def test_oracle_refuses_a_scan_above_its_bound(tmp_path, command, graph, vector,
                                 f"bound of {cli.ORACLE_SCAN}; run without --oracle\n")
 
 
+A = 10**5 + 8
+
+
+@pytest.mark.parametrize(
+    "command, vector",
+    [
+        ("winnable", (A, -A) + (0,) * 14),
+        ("rank", (A, -A) + (0,) * 14),
+        # the oracle decides the complement (1 - A, 1 + A, 0, ...)
+        ("dist-nonhalt", (A, -A) + (1,) * 14),
+    ],
+    ids=["winnable", "rank", "dist-nonhalt"],
+)
+def test_oracle_refuses_a_descent_above_its_bound(tmp_path, command, vector):
+    # the winnability bound of the divisor the oracle decides is 4A + 62, and
+    # the descent lowers 16 counts from it: at most 16 * (4A + 63) lowerings,
+    # known before it starts; the pipeline answers at once
+    (tmp_path / "g.graph").write_text(C16)
+    (tmp_path / "x.div").write_text(divisor_to_text(vector))
+    start = time.monotonic()
+    proc = _run_capped(tmp_path, [command, "g.graph", "x.div", "--oracle", *J], timeout=30)
+    assert time.monotonic() - start < 2
+    lowerings = 16 * (4 * A + 63)
+    assert lowerings > cli.ORACLE_DESCENT
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: the oracle's descent could make {lowerings} lowerings, above its "
+               f"bound of {cli.ORACLE_DESCENT}; run without --oracle\n")
+
+
+def test_oracle_descent_within_its_bound_is_checked(tmp_path):
+    # a = 1,008 = 16 * 63: winnable, and at most 16 * (4a + 63) = 65,520 lowerings
+    a = 1008
+    assert 16 * (4 * a + 63) == 65_520 <= cli.ORACLE_DESCENT
+    (tmp_path / "g.graph").write_text(C16)
+    (tmp_path / "x.div").write_text(divisor_to_text((a, -a) + (0,) * 14))
+    proc = _run_capped(tmp_path, ["winnable", "g.graph", "x.div", "--oracle", *J], timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"agree": true, "oracle": true, "winnable": true}\n', "")
+
+
 def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):
     # 48 vertices; enumerating every top-up of degree <= 5 exhausts the cap
     inst = reduce_tss_to_rec(complete_graph(6), (5,) * 6)

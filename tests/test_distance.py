@@ -118,10 +118,13 @@ def test_rank_matches_definitional_in_every_regime():
 
 
 def test_disconnected_rejected():
+    # connectivity is checked before the divisor, so a divisor of the wrong
+    # length on a disconnected graph is reported as the disconnection
     g = Multigraph(2)
     for solver in (dist_rec, dist_nonhalt, rank):
-        with pytest.raises(DisconnectedGraphError):
-            solver(g, (0, 0))
+        for f in ((0, 0), (0,)):
+            with pytest.raises(DisconnectedGraphError):
+                solver(g, f)
 
 
 def test_single_vertex():

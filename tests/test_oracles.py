@@ -188,8 +188,9 @@ def test_verify_chain_counts_forced_vertices():
 
 
 def test_verify_chain_agrees_on_every_accepted_threshold():
-    # validate_thresholds accepts tau in [0, deg + 1]
-    for g in connected_simple_graphs([2, 3]):
+    # validate_thresholds accepts tau in [0, deg + 1]; 1,800 instances on
+    # four vertices
+    for g in connected_simple_graphs([2, 3, 4]):
         for tau in threshold_assignments(g, low=0, high_offset=1):
             assert all(r.agree for r in verify_reduction_chain(g, tau)), (g, tau)
 

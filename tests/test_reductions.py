@@ -490,6 +490,8 @@ class TestSubdivision:
         for g in connected_multigraphs(3, 4):
             for f in divisors_in_box(g, -1, 0):
                 g2, f2 = subdivide_to_simple(g, f)
+                # marked connected when built, as every gadget is
+                assert g2._connected is True and Multigraph(g2.n, g2.edges()).is_connected()
                 assert g2.is_simple()
                 assert rank(g, f) == rank(g2, f2), (g.edges(), f)
 
