@@ -237,8 +237,9 @@ def _cascade(nbrs, slack, done, start) -> list[int]:
         done[v] = 1
         order.append(v)
         for u, m in nbrs[v]:
-            slack[u] -= m
-            if not done[u] and slack[u] <= 0 < slack[u] + m:
+            x = slack[u]
+            slack[u] = x - m  # done vertices too: `_top_up` reads their slack
+            if 0 < x <= m and not done[u]:
                 heappush(heap, u)
     return order
 

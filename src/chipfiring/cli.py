@@ -5,9 +5,9 @@ every subparser from it, main loads each subcommand's inputs from it, and a
 handler only computes and emits its result.
 
 Exit codes: 0 success, 1 a computational verification failed (an --oracle
-cross-check or a verify-chain leg disagreed), 2 input or usage error.  Text
-output is human-oriented and may change; JSON output is the stable surface
-and is byte-identical across identical invocations.
+cross-check or a verify-chain leg disagreed), 2 input or usage error, or
+memory ran out.  Text output is human-oriented and may change; JSON output
+is the stable surface and is byte-identical across identical invocations.
 """
 
 from __future__ import annotations
@@ -377,6 +377,11 @@ def main(argv=None) -> int:
     except ChipFiringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback no longer holds the computation
+    print("error: out of memory; the solvers take exponential space in the worst case, "
+          "try a smaller input", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

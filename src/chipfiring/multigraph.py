@@ -9,11 +9,13 @@ Self-loops are rejected at construction time; firing across one would be a
 no-op and no construction here ever creates one.
 
 Every graph's rows come from one private constructor, `_set_rows`: it
-takes per-vertex neighbor -> multiplicity maps and derives the stored lists,
-degrees and edge count, so the stored format is known here only.
-`Multigraph(n, edges)` validates the edge list into such maps and hands
-them on; gadget maps, valid and connected by construction, reach it through
-`Multigraph._from_rows`, which skips the checks and marks the graph connected.
+takes each row in the shape the graph stores, (neighbor, multiplicity) pairs
+in increasing neighbor order, and only makes the rows tuples and sums their
+multiplicities into degrees and the edge count.  `Multigraph(n, edges)`
+validates the edge list into per-vertex maps and sorts each into that shape
+once; gadget rows, valid, sorted and connected by construction, reach it
+through `Multigraph._from_rows`, which skips the checks and marks the graph
+connected.
 
 Every input file is read through the helpers at the end of this module: a
 graph file is decoded once, into the object `graph_from_json` builds from,
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -36,6 +39,10 @@ from .errors import (
 )
 
 Edge = tuple[int, int, int]
+# one stored row: (neighbor, multiplicity) pairs, neighbors increasing
+Row = Sequence[tuple[int, int]]
+
+_second = itemgetter(1)
 
 
 class Multigraph:
@@ -72,23 +79,30 @@ class Multigraph:
                     raise GraphStructureError(
                         f"edge multiplicity must be a positive integer, got {item!r}"
                     )
-            row = rows[u]
-            row[v] = row.get(v, 0) + k
+            row = rows[u]  # a test and a store cost less than row.get
+            if v in row:
+                row[v] += k
+            else:
+                row[v] = k
             row = rows[v]
-            row[u] = row.get(u, 0) + k
-        self._set_rows(rows)
+            if u in row:
+                row[u] += k
+            else:
+                row[u] = k
+        self._set_rows(map(sorted, map(dict.items, rows)))
 
-    def _set_rows(self, rows: list[dict[int, int]]) -> None:
-        self.n = len(rows)
-        self.nbrs = tuple(tuple(sorted(row.items())) for row in rows)
-        self.degrees = tuple(sum(row.values()) for row in rows)
+    def _set_rows(self, rows: Iterable[Row]) -> None:
+        self.nbrs = nbrs = tuple(map(tuple, rows))
+        self.n = len(nbrs)
+        self.degrees = tuple([sum(map(_second, row)) for row in nbrs])
         self.edge_count = sum(self.degrees) // 2
         self._connected = self._simple = None
 
     @classmethod
-    def _from_rows(cls, rows: list[dict[int, int]]) -> Multigraph:
-        """A connected graph with the given neighbor -> multiplicity maps,
-        trusted as they are: symmetric, in range, without self-loops,
+    def _from_rows(cls, rows: Iterable[Row]) -> Multigraph:
+        """A connected graph whose rows are the given (neighbor,
+        multiplicity) pairs, trusted as they are: neighbors strictly
+        increasing in each row, symmetric, in range, without self-loops,
         multiplicities positive ints, and connected, as every gadget is."""
         g = cls.__new__(cls)
         g._set_rows(rows)

@@ -35,11 +35,12 @@ target set of size at most deg y plus the forced vertices, in one pass over
 y.  So solutions, not just optima, move through the gadget, and a minimum on
 either side maps to a minimum on the other.
 
-All three constructions are built straight into adjacency maps rather than
-edge lists, and are marked connected at build time: each source is required
-to be connected first, and each construction keeps every source vertex
-joined to the rest (through its chain and ports, the apex, or its
-subdivided edges).
+All three constructions are built straight into the graph's sorted
+adjacency rows rather than edge lists, each row written in id order as the
+layout below assigns the ids, and are marked connected at build time: each
+source is required to be connected first, and each construction keeps every
+source vertex joined to the rest (through its chain and ports, the apex, or
+its subdivided edges).
 
 Vertex ids are laid out deterministically (inner block, core block, outer
 block, then ports in sorted edge order; the apex is always last) so that
@@ -108,17 +109,19 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     core = tuple(range(n, 2 * n))
     outer = tuple(range(2 * n, 3 * n))
     # v_i - v_c (N) and v_c - v_o (1) for every block, each in both directions
-    rows = ([{core[v]: bundle} for v in range(n)]
-            + [{inner[v]: bundle, outer[v]: 1} for v in range(n)]
-            + [{core[v]: 1} for v in range(n)])
-    # then u_o - p_uv (N) and p_uv - v_i (1) for the two ports of each source edge
+    rows = ([[(core[v], bundle)] for v in range(n)]
+            + [((inner[v], bundle), (outer[v], 1)) for v in range(n)]
+            + [[(core[v], 1)] for v in range(n)])
+    # then u_o - p_uv (N) and p_uv - v_i (1) for the two ports of each source
+    # edge; each port outnumbers every id before it, so appending it keeps
+    # the rows of u_o and v_i sorted
     ports: dict[tuple[int, int], int] = {}
     for a, b, _m in g.edges():
         for u, v in ((a, b), (b, a)):
             p = ports[(u, v)] = len(rows)
-            rows[outer[u]][p] = bundle
-            rows.append({outer[u]: bundle, inner[v]: 1})
-            rows[inner[v]][p] = 1
+            rows[outer[u]].append((p, bundle))
+            rows.append(((inner[v], 1), (outer[u], bundle)))
+            rows[inner[v]].append((p, 1))
     gprime = Multigraph._from_rows(rows)
 
     # deg - N = 1 on cores and ports, deg - 1 on outer vertices, and deg - tau
@@ -242,10 +245,8 @@ def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int,
     """The apex gadget of a connected g, with f and M already validated."""
     n = g.n
     apex = n
-    rows = [dict(row) for row in g.nbrs]
-    for row in rows:
-        row[apex] = M
-    rows.append(dict.fromkeys(range(n), M))
+    rows = [row + ((apex, M),) for row in g.nbrs]
+    rows.append([(v, M) for v in range(n)])
     gpp = Multigraph._from_rows(rows)
     fpp = tuple(list(x + M for x in f) + [0])
     return RecToNonhaltInstance(
@@ -298,11 +299,11 @@ def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
     points = _subdivision_points(g)
     if not points:  # single-vertex graph, nothing to subdivide
         return g, f
-    rows = [{} for _ in range(g.n)]
-    for point, (u, v) in enumerate(points, g.n):
-        rows[u][point] = 1
-        rows[v][point] = 1
-        rows.append({u: 1, v: 1})
+    rows = [[] for _ in range(g.n)]
+    for point, (u, v) in enumerate(points, g.n):  # u < v < point
+        rows[u].append((point, 1))
+        rows[v].append((point, 1))
+        rows.append(((u, 1), (v, 1)))
     return Multigraph._from_rows(rows), f + (0,) * len(points)
 
 

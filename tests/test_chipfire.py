@@ -33,7 +33,7 @@ from chipfiring.families import (
     random_divisor,
     two_vertex_bundle,
 )
-from chipfiring.chipfire import _play
+from chipfiring.chipfire import _cascade, _play
 from chipfiring.oracles import recurrent_permutation
 
 K2 = Multigraph(2, [(0, 1, 1)])
@@ -356,6 +356,43 @@ def _seeded_reference(g, f, rng):
             return HaltVerdict(
                 NON_HALTING, witness=GameTrace(tuple(order), tuple(counts), tuple(chips))
             )
+
+
+@st.composite
+def cascade_inputs(draw):
+    """A graph, slacks, a partial `done` and a `start` list meeting
+    `_cascade`'s precondition: every vertex eligible before anything fires,
+    in increasing order, plus any others."""
+    g = random_connected_multigraph(Random(draw(st.integers(min_value=0, max_value=10_000))))
+    n = g.n
+    slack = draw(st.lists(st.integers(min_value=-2, max_value=8), min_size=n, max_size=n))
+    done = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    extra = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    start = sorted({v for v in range(n) if slack[v] <= 0 and not done[v]} | extra)
+    return g, slack, bytearray(done), start
+
+
+def _naive_cascade(nbrs, slack, done):
+    """Rescan every vertex before each firing and fire the lowest-indexed
+    eligible one: not done, slack <= 0."""
+    slack, done, order = list(slack), bytearray(done), []
+    while True:
+        v = next((v for v in range(len(slack)) if not done[v] and slack[v] <= 0), None)
+        if v is None:
+            return order, slack, done
+        done[v] = 1
+        order.append(v)
+        for u, m in nbrs[v]:
+            slack[u] -= m
+
+
+@given(cascade_inputs())
+def test_cascade_matches_naive_rescan(inputs):
+    g, slack, done, start = inputs
+    expected = _naive_cascade(g.nbrs, slack, done)
+    order = _cascade(g.nbrs, slack, done, start)
+    # the final slack of done vertices too, which the top-up search reads
+    assert (order, slack, done) == expected
 
 
 @given(graph_and_divisor, st.integers(min_value=0, max_value=2**32 - 1))

@@ -2,8 +2,8 @@
 
 Every case pins the exact stdout and exit code of `chipfiring.cli.main` on
 tiny input files, so that JSON output stays byte-identical and the exit
-codes 0 (success), 1 (a cross-check disagreed) and 2 (input error) keep
-their meaning.
+codes 0 (success), 1 (a cross-check disagreed) and 2 (input error, or out
+of memory) keep their meaning.
 """
 
 import json
@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import Multigraph, cli, is_recurrent, multigraph, oracles, reduce_tss_to_rec
+from chipfiring import (
+    Multigraph, cli, distance, is_recurrent, multigraph, oracles, reduce_tss_to_rec,
+)
 from chipfiring.chipfire import divisor_to_text
 from chipfiring.families import complete_graph, cycle_graph
 from chipfiring.multigraph import graph_to_json, graph_to_text
@@ -288,6 +290,16 @@ def test_oracle_disagreement_exits_1(run, monkeypatch, argv, stdout):
     monkeypatch.setattr(oracles, "ts_subset_enumeration", lambda g, tau: 2)
     monkeypatch.setattr(oracles, "winnable_within_bound", lambda g, f, bound: False)
     assert run(argv) == (1, stdout, "")
+
+
+def test_out_of_memory_exits_2(run, monkeypatch):
+    # exit 1 would claim that a verification disagreed
+    def exhaust(g, f):
+        raise MemoryError
+    monkeypatch.setattr(distance, "dist_nonhalt", exhaust)
+    assert run(("dist-nonhalt", "c3.graph", "halt.div", *J)) == (
+        2, "", "error: out of memory; the solvers take exponential space in the worst case, "
+        "try a smaller input\n")
 
 
 @pytest.mark.parametrize(

@@ -462,6 +462,25 @@ class TestGadgetsMatchEdgeListBuild:
                     assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
                     assert inst.roles == roles
 
+    def test_trusted_rows_equal_validated_rows(self):
+        # the gadgets write their rows straight into the stored shape, which
+        # Multigraph(n, edges) reaches by validating and sorting
+        built = []
+        for g in connected_simple_graphs([2, 3, 4]):
+            for tau in (g.degrees, (0,) * g.n):
+                apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+                built += [bundle_inst.gprime, apex_inst.gpp]
+        for g in connected_multigraphs(4, 6):
+            f = tuple(range(g.n))
+            built += [reduce_rec_to_nonhalt(g, f).gpp, subdivide_to_simple(g, f)[0]]
+        for h in built:
+            validated = Multigraph(h.n, h.edges())
+            assert (h.nbrs, h.degrees, h.edge_count) == (
+                validated.nbrs, validated.degrees, validated.edge_count)
+            for row in h.nbrs:
+                ids = [u for u, _m in row]
+                assert all(a < b for a, b in zip(ids, ids[1:])), row
+
 
 class TestSubdivision:
     def test_triangle_to_hexagon(self):
