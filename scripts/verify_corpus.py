@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run the full reduction-chain verifier over a corpus of instances.
 
-Generates the exhaustive family of small simple connected graphs with every
-threshold assignment in a range.  Emits one JSON line per checked quantity,
-so the output can be filtered with standard tools (e.g. jq
-'select(.agree|not)'), and ends with one summary line on stderr: instances
-checked, disagreements per quantity and the slowest instance.  A directory
-of paired files (x.graph with x.thr) is checked by the CLI, which prints the
-same JSON lines.
+Generates the exhaustive family of small simple connected graphs, from one
+vertex up, with every threshold assignment in a range.  Emits one JSON line
+per checked quantity, so the output can be filtered with standard tools
+(e.g. jq 'select(.agree|not)'), and ends with one summary line on stderr:
+instances checked, disagreements per quantity and the slowest instance.  A
+directory of paired files (x.graph with x.thr) is checked by the CLI, which
+prints the same JSON lines.
 
 Example:
     python3 scripts/verify_corpus.py --family 3 --max-tau-offset 0
@@ -55,7 +55,7 @@ class Tally:
 
 
 def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
-    for g in connected_simple_graphs(range(2, max_n + 1)):
+    for g in connected_simple_graphs(range(1, max_n + 1)):
         for tau in threshold_assignments(g, low=tau_low, high_offset=tau_offset):
             tally.check(g, tau)
 
@@ -63,7 +63,7 @@ def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", type=int, metavar="N", required=True,
-                        help="exhaustive simple connected graphs with 2..N vertices")
+                        help="exhaustive simple connected graphs with 1..N vertices")
     parser.add_argument("--min-tau", type=int, default=1)
     parser.add_argument("--max-tau-offset", type=int, default=0,
                         help="thresholds range up to degree + OFFSET "

@@ -19,9 +19,10 @@ on slack, degree minus chips, so a vertex is active when its slack is <= 0.
 It keeps the sorted list of active vertices between firings instead of
 scanning all n: firing v changes the slack of v and its neighbors only, so
 only they can leave or join the list.  The default policy fires the head of
-the list and deletes it without a search; the seeded policy draws from it
-with `rng.choice`.  Both see exactly the list a scan would build, so
-witnesses do not depend on how it is kept, and a firing costs
+the list and deletes it without a search; the seeded policy draws an index
+into it with `rng.randrange`, the draw `rng.choice` makes, so it fires the
+vertex `choice` would pick.  Both see exactly the list a scan would build,
+so witnesses do not depend on how it is kept, and a firing costs
 O(deg v + number of active vertices).  A heap would serve the lowest index
 but not the seeded draw.  Active flags in a bytearray, searched with
 `find`, play long games faster but lose elsewhere: short games slow down,
@@ -83,7 +84,7 @@ is non-halting when the count is >= 0 and halting otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from heapq import heappop, heappush
 from itertools import chain, count
 from operator import mul
@@ -180,8 +181,8 @@ def _play(degs, nbrs, slack, rng: Random | None = None):
     Works on slack, degree minus chips, as `_cascade` does: a vertex is
     active when its slack is <= 0, firing v raises its slack by its degree
     and lowers each neighbor's by the multiplicity of the edge.  Fires the
-    lowest-indexed active vertex, or a random active one when an rng is
-    given.  Returns (halted, order, counts); `slack` ends as the slack of
+    lowest-indexed active vertex, or with an rng the one at the index
+    it draws.  Returns (halted, order, counts); `slack` ends as the slack of
     the stable divisor of a halting game, or of the state at the moment the
     last unfired vertex fired in a non-halting one.
 
@@ -200,8 +201,8 @@ def _play(degs, nbrs, slack, rng: Random | None = None):
         if rng is None:
             v, i = active[0], 0
         else:
-            v = rng.choice(active)
-            i = bisect_left(active, v)
+            i = rng.randrange(len(active))
+            v = active[i]
         s = slack[v] + degs[v]
         slack[v] = s
         if s > 0:
@@ -275,7 +276,13 @@ def _seeds_needed(slack, done, start, need) -> int:
     `need` is the slack of the unfired vertices minus the edges among them:
     each such edge delivers a chip at most once, so seeds must cover the
     rest, and a seed covers at most its vertex's slack.  No fewer seeds
-    can complete the cascade."""
+    can complete the cascade.
+
+    Under `_top_up` the candidates always cover `need`, so the last return
+    is never reached there.  `_top_up` leaves a vertex unseeded only if
+    seeding every later vertex still fires it, so seeding every unfired
+    vertex >= start completes the cascade, and the chips the other unfired
+    vertices then take all come over edges among the unfired."""
     if need <= 0:
         return 0
     candidates = sorted((s for s, d in zip(slack[start:], done[start:]) if not d), reverse=True)

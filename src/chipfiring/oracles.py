@@ -3,10 +3,11 @@
 Everything here re-derives its answer from definitions, deliberately sharing
 no game-engine, closure or top-up enumeration code with the other modules:
 the greedy engine is checked against permutation search, the target-set
-solver against an independent subset scan, and the rank pipeline against the
-raw definition with winnability decided by a bounded search over
-firing-count vectors.  Each oracle call builds its own dense multiplicity
-matrix from the public `Multigraph.edges()`, never reading the adjacency
+solver against an independent subset scan and, on trees of any size, a
+dynamic program, and the rank pipeline against the raw definition with
+winnability decided by a bounded search over firing-count vectors.  Each
+oracle call builds what it reads, a dense multiplicity matrix or adjacency
+lists, from the public `Multigraph.edges()`, never reading the adjacency
 lists the pipeline runs on.
 
 The bounded winnability search asks whether some integer vector z with
@@ -33,7 +34,7 @@ from operator import eq, gt
 from typing import NamedTuple
 
 from .distance import dist_nonhalt, dist_rec
-from .errors import SizeGuardError
+from .errors import GraphStructureError, SizeGuardError
 from .multigraph import Multigraph, graph_to_text
 from .reductions import reduce_tss_to_nonhalt
 from .tss import min_target_set, validate_thresholds
@@ -150,6 +151,50 @@ def ts_subset_enumeration(g: Multigraph, tau) -> int:
             if len(active) == n:
                 return size
     raise AssertionError("unreachable: the full vertex set activates everything")
+
+
+def ts_tree_dp(g: Multigraph, tau) -> int:
+    """Exact minimum target set size on a tree, in linear time up to the
+    sort of each vertex's children (Chen 2009), by a dynamic program on
+    the tree rooted at vertex 0.
+
+    a[v] is the fewest seeds in v's subtree when v activates before its
+    parent, b[v] the same when the parent is active first, so b[v] <= a[v].
+    Seeding v costs 1 + sum b[c] over its children c.  Otherwise a child
+    counts toward tau(v) only if it activates first, at cost a[c] instead
+    of b[c], so a[v] is sum b[c] plus the tau(v) smallest a[c] - b[c], and
+    b[v] the same with max(0, tau(v) - 1) of them, either impossible when v
+    has fewer children.  Each takes the cheaper option; the answer is
+    a[0].  A forced vertex has fewer children than its threshold, so it
+    is seeded."""
+    tau = validate_thresholds(g, tau)
+    g.require_connected()
+    n = g.n
+    edges = g.edges()
+    if len(edges) != n - 1:
+        raise GraphStructureError("the tree program needs a tree")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _m in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    order = [0]
+    for v in order:  # breadth first: each vertex after its parent
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    a, b = [0] * n, [0] * n
+    for v in reversed(order):
+        kids = [u for u in adj[v] if u != parent[v]]
+        base = sum(b[c] for c in kids)
+        gaps = sorted(a[c] - b[c] for c in kids)
+        seeded = base + 1
+        k = tau[v]
+        a[v] = min(seeded, base + sum(gaps[:k])) if k <= len(gaps) else seeded
+        k = max(0, k - 1)
+        b[v] = min(seeded, base + sum(gaps[:k])) if k <= len(gaps) else seeded
+    return a[0]
 
 
 def default_winnability_bound(g: Multigraph, f) -> int:

@@ -94,14 +94,12 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
 
     Forced vertices get gadget threshold 0 and are counted in `forced`.
 
-    Raises GraphStructureError if g is not simple, is disconnected (as its
-    subclass DisconnectedGraphError) or has fewer than two vertices, or if
-    validate_thresholds rejects tau.
+    Raises GraphStructureError if g is not simple or is disconnected (as
+    its subclass DisconnectedGraphError), or if validate_thresholds rejects
+    tau.
     """
     tau = validate_thresholds(g, tau)
     g.require_connected()
-    if g.n < 2:
-        raise GraphStructureError("the bundle gadget needs at least two source vertices")
     n = g.n
     forced = _forced_vertices(g, tau)
     bundle = n + 2
@@ -293,12 +291,11 @@ def _subdivision_points(g: Multigraph) -> list[tuple[int, int]]:
 def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
     """Replace every parallel edge copy by a two-edge path through a fresh
     vertex carrying zero chips; the result is simple and the rank of the
-    divisor is unchanged."""
+    divisor is unchanged.  A graph without edges comes back as an equal
+    graph with the same divisor."""
     g.require_connected()
     f = validate_divisor(g, f)
     points = _subdivision_points(g)
-    if not points:  # single-vertex graph, nothing to subdivide
-        return g, f
     rows = [[] for _ in range(g.n)]
     for point, (u, v) in enumerate(points, g.n):  # u < v < point
         rows[u].append((point, 1))

@@ -27,6 +27,7 @@ from chipfiring.multigraph import graph_to_json, graph_to_text
 FILES = {
     "c3.graph": "3\n0 1 1\n1 2 1\n0 2 1\n",
     "k2.graph": "2\n0 1 1\n",
+    "k1.graph": "1\n",
     "p5.graph": "5\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n",
     # a 4-cycle with the chord 0-2
     "d4.graph": "4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n0 2 1\n",
@@ -47,6 +48,8 @@ FILES = {
     "bool.graph": '{"n": true, "edges": []}\n',
     "c3.thr": "1 1 1\n",
     "k2.thr": "1 1\n",
+    # deg + 1: the one vertex is forced
+    "k1.thr": "1\n",
     "bool-edge.graph": '{"n": 2, "edges": [[0, true, 1]]}\n',
     "two-counts.graph": "3 4\n0 1 1\n",
     "edge-map.graph": '{"n": 2, "edges": {"0": [1, 1]}}\n',
@@ -197,6 +200,27 @@ GOLDEN = [
                 ("target-set-size/dist-nonhalt", 1, 1),
                 ("bundle-margin (N vs dist-rec + 1)", 4, 2),
                 ("apex-margin (M vs dist-nonhalt)", 3, 1),
+            ]
+        ),
+    ),
+    # one source vertex: its chain alone is the bundle gadget
+    (
+        ("reduce", "tss-to-rec", "k1.graph", "k1.thr", *J),
+        '{"divisor": {"chips": [3, 1, 0]}, "graph": {"edges": [[0, 1, 3], [1, 2, 1]], '
+        '"n": 3}, "sidecar": {"M": null, "N": 3, "roles": ["i:0", "c:0", "o:0"]}}\n',
+    ),
+    (
+        ("verify-chain", "k1.graph", "k1.thr", *J),
+        "".join(
+            '{"agree": true, "instance": "be51adb6305b", '
+            f'"oracle": {oracle}, "pipeline": {pipeline}, "quantity": "{quantity}"}}\n'
+            for quantity, pipeline, oracle in [
+                ("target-set-size/subset-oracle", 1, 1),
+                ("target-set-size/dist-rec", 1, 1),
+                ("dist-rec/dist-nonhalt", 0, 0),
+                ("target-set-size/dist-nonhalt", 1, 1),
+                ("bundle-margin (N vs dist-rec + 1)", 3, 1),
+                ("apex-margin (M vs dist-nonhalt)", 2, 0),
             ]
         ),
     ),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chipfiring import (
+    GraphStructureError,
     Multigraph,
     SizeGuardError,
     is_recurrent,
@@ -33,6 +34,7 @@ from chipfiring.oracles import (
     rank_definitional,
     recurrent_permutation,
     ts_subset_enumeration,
+    ts_tree_dp,
     verify_reduction_chain,
     winnable_exhaustive,
     winnable_within_bound,
@@ -102,6 +104,56 @@ def test_ts_subset_examples():
     assert ts_subset_enumeration(C3, (2, 2, 2)) == 2
     assert ts_subset_enumeration(path_graph(3), (1, 1, 1)) == 1
     assert ts_subset_enumeration(C3, (0, 0, 0)) == 0
+
+
+def _random_tree(rng, n, shuffle=True):
+    # a random recursive tree: each vertex hangs from an earlier one; with
+    # shuffle the labels are a random permutation, otherwise every parent
+    # has the smaller label
+    labels = list(range(n))
+    if shuffle:
+        rng.shuffle(labels)
+    return Multigraph(n, [(labels[rng.randrange(v)], labels[v], 1) for v in range(1, n)])
+
+
+def test_tree_dp_examples():
+    assert ts_tree_dp(Multigraph(1), (0,)) == 0
+    assert ts_tree_dp(Multigraph(1), (1,)) == 1
+    assert ts_tree_dp(path_graph(3), (1, 1, 1)) == 1
+    assert ts_tree_dp(path_graph(3), (1, 2, 1)) == 1  # tau = deg: a vertex cover
+    assert ts_tree_dp(path_graph(3), (2, 2, 2)) == 2  # both ends forced
+    star = Multigraph(5, [(0, v, 1) for v in range(1, 5)])
+    assert ts_tree_dp(star, (4, 1, 1, 1, 1)) == 1
+    assert ts_tree_dp(star, (5, 1, 1, 1, 1)) == 1
+    assert ts_tree_dp(star, (3, 2, 2, 2, 2)) == 4  # forced leaves activate 0
+    with pytest.raises(GraphStructureError):
+        ts_tree_dp(C3, (1, 1, 1))
+    with pytest.raises(GraphStructureError):
+        ts_tree_dp(Multigraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), (1, 1, 1, 0))
+
+
+def test_tree_dp_matches_subset_oracle():
+    # 2-12 vertices, tau in [0, deg + 1], forced vertices included
+    rng = Random(25)
+    for _ in range(300):
+        g = _random_tree(rng, rng.randint(2, 12))
+        tau = tuple(rng.randint(0, d + 1) for d in g.degrees)
+        assert ts_tree_dp(g, tau) == ts_subset_enumeration(g, tau), (g.edges(), tau)
+
+
+def test_min_target_set_matches_tree_dp_past_the_subset_guard():
+    # 25-40 vertices, beyond the subset oracle's reach.  At tau = deg the
+    # target sets are the vertex covers and the search is slowest; it runs
+    # on trees whose parents have the smaller label, where it stays fast
+    rng = Random(26)
+    for shuffle, thresholds in [
+        (True, lambda g: tuple(rng.randint(0, d + 1) for d in g.degrees)),
+        (False, lambda g: g.degrees),
+    ]:
+        for _ in range(20):
+            g = _random_tree(rng, rng.randint(25, 40), shuffle)
+            tau = thresholds(g)
+            assert min_target_set(g, tau).size == ts_tree_dp(g, tau), (g.edges(), tau)
 
 
 def test_rank_definitional_examples():
@@ -188,9 +240,9 @@ def test_verify_chain_counts_forced_vertices():
 
 
 def test_verify_chain_agrees_on_every_accepted_threshold():
-    # validate_thresholds accepts tau in [0, deg + 1]; 1,800 instances on
-    # four vertices
-    for g in connected_simple_graphs([2, 3, 4]):
+    # validate_thresholds accepts tau in [0, deg + 1]; 1,911 instances, 1,800
+    # of them on four vertices and two on one
+    for g in connected_simple_graphs([1, 2, 3, 4]):
         for tau in threshold_assignments(g, low=0, high_offset=1):
             assert all(r.agree for r in verify_reduction_chain(g, tau)), (g, tau)
 

@@ -13,6 +13,7 @@ from chipfiring import (
     is_target_set,
     min_target_set,
 )
+from chipfiring import chipfire
 from chipfiring.families import (
     complete_graph,
     connected_simple_graphs,
@@ -143,6 +144,27 @@ def test_minimum_truly_minimal_exhaustive():
             if best.size:
                 for smaller in combinations(range(g.n), best.size - 1):
                     assert not is_target_set(g, tau, smaller)
+
+
+def test_seed_bound_always_finds_enough_candidates(monkeypatch):
+    # `_top_up` cuts a branch that leaves a vertex unseeded unless seeding
+    # every later one completes the cascade, so the candidates' slack
+    # always covers the need and the bound's fallback never runs
+    real = chipfire._seeds_needed
+    calls = 0
+
+    def bound(slack, done, start, need):
+        nonlocal calls
+        calls += 1
+        k = real(slack, done, start, need)
+        assert k != len(slack) + 1, (slack, bytes(done), start, need)
+        return k
+
+    monkeypatch.setattr(chipfire, "_seeds_needed", bound)
+    for g in connected_simple_graphs([2, 3, 4]):
+        for tau in threshold_assignments(g, low=0, high_offset=1):
+            min_target_set(g, tau)
+    assert calls
 
 
 def _activates_all(g, tau, seed):
