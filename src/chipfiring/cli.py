@@ -246,13 +246,14 @@ REDUCE = {
 def _cmd_reduce(args, g: Multigraph, x) -> int:
     if args.kind == "tss-to-rec":
         inst = reductions.reduce_tss_to_rec(g, x)
-        return _write_bundle(args, inst.gprime, inst.x, inst.N, None, inst.roles)
+        return _write_bundle(args, inst.gprime, inst.x, inst.N, None, reductions.bundle_roles(g))
     if args.kind == "rec-to-nonhalt":
         inst = reductions.reduce_rec_to_nonhalt(g, x, M=args.m)
-        return _write_bundle(args, inst.gpp, inst.fpp, None, inst.M, inst.roles)
+        roles = [f"orig:{v}" for v in range(g.n)] + ["new"]
+        return _write_bundle(args, inst.gpp, inst.fpp, None, inst.M, roles)
     apex_inst, bundle_inst = reductions.reduce_tss_to_nonhalt(g, x)
     return _write_bundle(args, apex_inst.gpp, apex_inst.fpp, bundle_inst.N, apex_inst.M,
-                         apex_inst.roles)
+                         reductions.bundle_roles(g) + ("new",))
 
 
 def _cmd_subdivide(args, g: Multigraph, f) -> int:

@@ -10,12 +10,12 @@ no-op and no construction here ever creates one.
 
 Every graph's rows come from one private constructor, `_set_rows`: it
 takes each row in the shape the graph stores, (neighbor, multiplicity) pairs
-in increasing neighbor order, and only makes the rows tuples and sums their
-multiplicities into degrees and the edge count.  `Multigraph(n, edges)`
-validates the edge list into per-vertex maps and sorts each into that shape
-once; gadget rows, valid, sorted and connected by construction, reach it
-through `Multigraph._from_rows`, which skips the checks and marks the graph
-connected.
+in increasing neighbor order, and the degrees, and only makes them tuples
+and halves the degree sum into the edge count.  `Multigraph(n, edges)`
+validates the edge list into per-vertex maps, sorts each into that shape
+once and sums it into its degree; gadgets, whose rows and closed-form degrees
+are valid, sorted and connected by construction, reach it through
+`Multigraph._from_rows`, which skips the checks and marks the graph connected.
 
 Every input file is read through the helpers at the end of this module: a
 graph file is decoded once, into the object `graph_from_json` builds from,
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import sys
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,8 +40,6 @@ from .errors import (
 Edge = tuple[int, int, int]
 # one stored row: (neighbor, multiplicity) pairs, neighbors increasing
 Row = Sequence[tuple[int, int]]
-
-_second = itemgetter(1)
 
 
 class Multigraph:
@@ -89,23 +86,25 @@ class Multigraph:
                 row[u] += k
             else:
                 row[u] = k
-        self._set_rows(map(sorted, map(dict.items, rows)))
+        self._set_rows(map(sorted, map(dict.items, rows)),
+                       map(sum, map(dict.values, rows)))
 
-    def _set_rows(self, rows: Iterable[Row]) -> None:
+    def _set_rows(self, rows: Iterable[Row], degrees: Iterable[int]) -> None:
         self.nbrs = nbrs = tuple(map(tuple, rows))
         self.n = len(nbrs)
-        self.degrees = tuple([sum(map(_second, row)) for row in nbrs])
+        self.degrees = tuple(degrees)
         self.edge_count = sum(self.degrees) // 2
         self._connected = self._simple = None
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[Row]) -> Multigraph:
+    def _from_rows(cls, rows: Iterable[Row], degrees: Iterable[int]) -> Multigraph:
         """A connected graph whose rows are the given (neighbor,
-        multiplicity) pairs, trusted as they are: neighbors strictly
-        increasing in each row, symmetric, in range, without self-loops,
-        multiplicities positive ints, and connected, as every gadget is."""
+        multiplicity) pairs and whose degrees are the given ones, trusted as
+        they are: neighbors strictly increasing in each row, symmetric, in
+        range, without self-loops, multiplicities positive ints, each degree
+        its row's multiplicity sum, and connected, as every gadget is."""
         g = cls.__new__(cls)
-        g._set_rows(rows)
+        g._set_rows(rows, degrees)
         g._connected = True
         return g
 

@@ -44,8 +44,10 @@ its subdivided edges).
 
 Vertex ids are laid out deterministically (inner block, core block, outer
 block, then ports in sorted edge order; the apex is always last) so that
-instances are byte-reproducible; the role strings are the authoritative
-meaning of each id.
+instances are byte-reproducible.  Beside that layout each construction
+states its degrees in closed form, and the bundle gadget each vertex's owner,
+the source vertex it stands for; only the CLI formats role strings, by
+`bundle_roles` and `subdivision_roles`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 
 class TssToRecInstance(NamedTuple):
-    """Bundle-gadget output: graph, chip configuration, and the role maps."""
+    """Bundle-gadget output: graph, chip configuration, the id blocks, and
+    the owner of each gadget vertex: v for v_i, v_c and v_o, u for p_uv."""
 
     gprime: Multigraph
     x: tuple[int, ...]
@@ -69,9 +72,7 @@ class TssToRecInstance(NamedTuple):
     core: tuple[int, ...]
     outer: tuple[int, ...]
     ports: dict[tuple[int, int], int]
-    roles: tuple[str, ...]
-    circ: frozenset[int]
-    bullet: frozenset[int]
+    owner: tuple[int, ...]
     source: Multigraph
     tau: tuple[int, ...]
     forced: int
@@ -84,7 +85,6 @@ class RecToNonhaltInstance(NamedTuple):
     fpp: tuple[int, ...]
     M: int
     new_vertex: int
-    roles: tuple[str, ...]
     source: Multigraph
     f: tuple[int, ...]
 
@@ -100,8 +100,7 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     """
     tau = validate_thresholds(g, tau)
     g.require_connected()
-    n = g.n
-    forced = _forced_vertices(g, tau)
+    n, degs = g.n, g.degrees
     bundle = n + 2
     inner = tuple(range(n))
     core = tuple(range(n, 2 * n))
@@ -114,22 +113,21 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     # edge; each port outnumbers every id before it, so appending it keeps
     # the rows of u_o and v_i sorted
     ports: dict[tuple[int, int], int] = {}
-    for a, b, _m in g.edges():
-        for u, v in ((a, b), (b, a)):
-            p = ports[(u, v)] = len(rows)
-            rows[outer[u]].append((p, bundle))
-            rows.append(((inner[v], 1), (outer[u], bundle)))
-            rows[inner[v]].append((p, 1))
-    gprime = Multigraph._from_rows(rows)
-
-    # deg - N = 1 on cores and ports, deg - 1 on outer vertices, and deg - tau
-    # on inner ones (all of deg when v is forced)
-    x = [d - bundle for d in gprime.degrees]
-    for v in range(n):
-        x[outer[v]] = gprime.degrees[outer[v]] - 1
-        x[inner[v]] = gprime.degrees[inner[v]] - (0 if v in forced else tau[v])
-    roles = tuple([f"{kind}:{v}" for kind in "ico" for v in range(n)]
-                  + [f"p:{u}:{v}" for u, v in ports])
+    owner = [*range(n)] * 3
+    for u, v in _port_ends(g):
+        p = ports[(u, v)] = len(rows)
+        rows[outer[u]].append((p, bundle))
+        rows.append(((inner[v], 1), (outer[u], bundle)))
+        rows[inner[v]].append((p, 1))
+        owner.append(u)
+    # degrees N + deg(v) on v_i, N + 1 on v_c, 1 + N deg(v) on v_o, and N + 1
+    # on ports; chips deg - tau on v_i (all of deg when v is forced), deg - 1
+    # on v_o, and deg - N = 1 on cores and ports
+    gprime = Multigraph._from_rows(rows, [bundle + d for d in degs] + n * [bundle + 1]
+                                   + [1 + bundle * d for d in degs]
+                                   + len(ports) * [bundle + 1])
+    x = ([bundle + d - (t if t <= d else 0) for d, t in zip(degs, tau)] + n * [1]
+         + [bundle * d for d in degs] + len(ports) * [1])
 
     return TssToRecInstance(
         gprime=gprime,
@@ -139,13 +137,24 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         core=core,
         outer=outer,
         ports=ports,
-        roles=roles,
-        circ=frozenset(inner) | frozenset(outer),
-        bullet=frozenset(core) | frozenset(ports.values()),
+        owner=tuple(owner),
         source=g,
         tau=tau,
-        forced=len(forced),
+        forced=len(_forced_vertices(g, tau)),
     )
+
+
+def _port_ends(g: Multigraph) -> list[tuple[int, int]]:
+    """The ends (u, v) of every port p_uv of the bundle gadget, both
+    directions of each edge in g.edges() order; port j gets id 3 g.n + j."""
+    return [(u, v) for a, b, _m in g.edges() for u, v in ((a, b), (b, a))]
+
+
+def bundle_roles(g: Multigraph) -> tuple[str, ...]:
+    """Role strings matching the id layout of reduce_tss_to_rec: i:v, c:v
+    and o:v for v_i, v_c and v_o, then p:u:v for each port p_uv."""
+    return tuple([f"{kind}:{v}" for kind in "ico" for v in range(g.n)]
+                 + [f"p:{u}:{v}" for u, v in _port_ends(g)])
 
 
 def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
@@ -172,11 +181,11 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
     """Read a target set off any recurrence witness y: effective, with x + y
     recurrent.
 
-    Every gadget vertex has an owner, the second field of its role: v for
-    v_i, v_c and v_o, and u for the port p_uv.  The set S read off is the
-    owners of the vertices that hold chips of y, plus the forced vertices.
-    Then |S| <= |supp y| + forced <= deg y + forced, so a minimum witness
-    gives a minimum target set, since min TSS = dist_rec + forced.
+    Every gadget vertex has an owner, `inst.owner[z]`: v for v_i, v_c and
+    v_o, and u for the port p_uv.  The set S read off is the owners of the
+    vertices that hold chips of y, plus the forced vertices.  Then
+    |S| <= |supp y| + forced <= deg y + forced, so a minimum witness gives a
+    minimum target set, since min TSS = dist_rec + forced.
 
     S is a target set.  With N = |V| + 2, take a game from x + y that fires
     every vertex exactly once, and show by induction on its firing order
@@ -198,7 +207,7 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
         raise WitnessError("witness must be effective")
     if not is_recurrent(inst.gprime, add(inst.x, y))[0]:
         raise WitnessError("x + y is not recurrent")
-    members = {int(inst.roles[z].split(":")[1]) for z, k in enumerate(y) if k}
+    members = {inst.owner[z] for z, k in enumerate(y) if k}
     members.update(_forced_vertices(inst.source, inst.tau))
     members = tuple(sorted(members))
     if not is_target_set(inst.source, inst.tau, members):
@@ -234,22 +243,19 @@ def reduce_rec_to_nonhalt(g: Multigraph, f, M: int | None = None) -> RecToNonhal
             raise WitnessError(
                 f"apex multiplicity {M} must exceed {required} for this instance"
             )
-    roles = tuple([f"orig:{v}" for v in range(g.n)] + ["new"])
-    return _apex_gadget(g, f, M, roles)
+    return _apex_gadget(g, f, M)
 
 
-def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int,
-                 roles: tuple[str, ...]) -> RecToNonhaltInstance:
-    """The apex gadget of a connected g, with f and M already validated."""
+def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int) -> RecToNonhaltInstance:
+    """The apex gadget of a connected g, with f and M already validated:
+    degrees deg + M, and n M on the apex."""
     n = g.n
     apex = n
     rows = [row + ((apex, M),) for row in g.nbrs]
     rows.append([(v, M) for v in range(n)])
-    gpp = Multigraph._from_rows(rows)
-    fpp = tuple(list(x + M for x in f) + [0])
-    return RecToNonhaltInstance(
-        gpp=gpp, fpp=fpp, M=M, new_vertex=apex, roles=roles, source=g, f=f
-    )
+    gpp = Multigraph._from_rows(rows, [d + M for d in g.degrees] + [n * M])
+    fpp = tuple([x + M for x in f] + [0])
+    return RecToNonhaltInstance(gpp=gpp, fpp=fpp, M=M, new_vertex=apex, source=g, f=f)
 
 
 def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, TssToRecInstance]:
@@ -277,8 +283,7 @@ def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, Tss
     top-up of degree at most |V| qualifies, minimum witnesses among them.
     """
     bundle_inst = reduce_tss_to_rec(g, tau)
-    apex_inst = _apex_gadget(bundle_inst.gprime, bundle_inst.x, g.n + 1,
-                             bundle_inst.roles + ("new",))
+    apex_inst = _apex_gadget(bundle_inst.gprime, bundle_inst.x, g.n + 1)
     return apex_inst, bundle_inst
 
 
@@ -301,7 +306,9 @@ def subdivide_to_simple(g: Multigraph, f) -> tuple[Multigraph, tuple[int, ...]]:
         rows[u].append((point, 1))
         rows[v].append((point, 1))
         rows.append(((u, 1), (v, 1)))
-    return Multigraph._from_rows(rows), f + (0,) * len(points)
+    # each edge copy still meets u and v once, and each point has degree 2
+    degrees = g.degrees + (2,) * len(points)
+    return Multigraph._from_rows(rows, degrees), f + (0,) * len(points)
 
 
 def subdivision_roles(g: Multigraph) -> tuple[str, ...]:

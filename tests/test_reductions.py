@@ -1,5 +1,6 @@
 import hashlib
 from argparse import Namespace
+from itertools import chain, combinations, combinations_with_replacement
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from chipfiring import (
     GraphStructureError,
     Multigraph,
     WitnessError,
+    bundle_roles,
     classify_halting,
     cli,
     default_apex_multiplicity,
@@ -48,6 +50,13 @@ def xplus(inst, y):
     return tuple(a + b for a, b in zip(inst.x, y))
 
 
+def circ_and_bullet(inst):
+    """The paper's two vertex kinds: circ holds v_i and v_o, bullet holds v_c
+    and the ports."""
+    return (frozenset(inst.inner) | frozenset(inst.outer),
+            frozenset(inst.core) | frozenset(inst.ports.values()))
+
+
 class TestBundleGadget:
     def test_two_vertex_shape(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
@@ -81,10 +90,12 @@ class TestBundleGadget:
             assert gp.n == 3 * g.n + 2 * g.edge_count
             assert gp.edge_count == (inst.N + 1) * (g.n + 2 * g.edge_count)
             assert all(0 <= inst.x[z] <= gp.degrees[z] for z in range(gp.n))
-            assert all(inst.x[z] == 1 for z in inst.bullet)
-            assert inst.circ | inst.bullet == frozenset(range(gp.n))
-            assert not inst.circ & inst.bullet
-            assert sorted(inst.roles) == sorted(
+            circ, bullet = circ_and_bullet(inst)
+            assert all(inst.x[z] == 1 for z in bullet)
+            assert circ | bullet == frozenset(range(gp.n))
+            assert not circ & bullet
+            assert inst.owner == tuple(range(g.n)) * 3 + tuple(u for u, _v in inst.ports)
+            assert sorted(bundle_roles(g)) == sorted(
                 [f"i:{v}" for v in range(g.n)]
                 + [f"c:{v}" for v in range(g.n)]
                 + [f"o:{v}" for v in range(g.n)]
@@ -122,8 +133,10 @@ class TestBundleGadgetIsThePapers:
         assert len(self.FAMILY) == 1911
         for g, tau in self.FAMILY:
             inst = reduce_tss_to_rec(g, tau)
-            big, roles = inst.N, inst.roles
+            big, roles = inst.N, bundle_roles(g)
             assert big == g.n + 2 and len(set(roles)) == inst.gprime.n
+            # each vertex's owner is the source vertex its role names first
+            assert inst.owner == tuple(int(r.split(":")[1]) for r in roles)
             built = {frozenset((roles[a], roles[b])): m for a, b, m in inst.gprime.edges()}
             assert built == papers_bundle_edges(g, big)
             chips = dict(zip(roles, inst.x))
@@ -237,6 +250,23 @@ class TestWitnessTransport:
         y[inst.ports[(1, 0)]] = 1
         assert extract_target_set(inst, tuple(y)).members == (0, 1)
 
+    def test_lift_every_target_set(self):
+        # every target set of every source of 1-4 vertices, tau in
+        # [0, deg + 1], found by subset enumeration
+        count = 0
+        for g, tau in TestBundleGadgetIsThePapers.FAMILY:
+            inst = reduce_tss_to_rec(g, tau)
+            for size in range(g.n + 1):
+                for members in combinations(range(g.n), size):
+                    if not is_target_set(g, tau, members):
+                        continue
+                    count += 1
+                    y = lift_target_set(inst, members)
+                    assert min(y) == 0 and sum(y) == size - inst.forced
+                    back = extract_target_set(inst, y).members
+                    assert is_target_set(g, tau, back) and len(back) <= size
+        assert count == 16570
+
     def test_round_trip_sizes(self):
         for g, tau in [(K2, (1, 1)), (C3, (2, 2, 2)), (C3, (1, 2, 1))]:
             inst = reduce_tss_to_rec(g, tau)
@@ -290,9 +320,33 @@ class TestTotalExtraction:
                     support = sum(1 for k in y if k)
                     assert is_target_set(g, tau, got), (g.edges(), tau, y)
                     assert forced <= set(got) and len(got) <= support + len(forced)
-                    bullet_chips += any(y[z] for z in inst.bullet)
+                    bullet_chips += any(y[z] for z in circ_and_bullet(inst)[1])
                     stacked += max(y) > 1
         assert bullet_chips and stacked
+
+    def test_every_witness_near_the_minimum(self):
+        # every recurrence witness of degree dist_rec or dist_rec + 1 on
+        # sources of 1-3 vertices, tau in [0, deg + 1], enumerated
+        count = 0
+        for g in connected_simple_graphs([1, 2, 3]):
+            for tau in threshold_assignments(g, low=0, high_offset=1):
+                inst = reduce_tss_to_rec(g, tau)
+                gp = inst.gprime
+                forced = {v for v in range(g.n) if tau[v] > g.degrees[v]}
+                least = dist_rec(gp, inst.x).value
+                for chips in chain.from_iterable(
+                        combinations_with_replacement(range(gp.n), k) for k in (least, least + 1)):
+                    y = [0] * gp.n
+                    for z in chips:
+                        y[z] += 1
+                    if not is_recurrent(gp, xplus(inst, y))[0]:
+                        continue
+                    count += 1
+                    got = extract_target_set(inst, tuple(y)).members
+                    assert is_target_set(g, tau, got), (g.edges(), tau, y)
+                    assert forced <= set(got)
+                    assert len(got) <= len(set(chips)) + len(forced)
+        assert count == 2508
 
     def test_greedy_round_trip_at_scale(self):
         # polynomial all the way: no exponential solver runs
@@ -318,7 +372,9 @@ class TestApexGadget:
         assert inst.fpp == (3, 3, 0)
         assert inst.gpp.edge_count == 7  # 1 + 3*2
         assert inst.new_vertex == 2
-        assert inst.roles == ("orig:0", "orig:1", "new")
+        # the source keeps its ids and edges, and the apex comes last
+        assert inst.gpp.edges() == [(0, 1, 1), (0, 2, 3), (1, 2, 3)]
+        assert inst.gpp.degrees == (4, 4, 6)
         assert dist_nonhalt(inst.gpp, inst.fpp).value == 1 == dist_rec(K2, (0, 0)).value
 
     def test_adds_one_vertex(self):
@@ -356,8 +412,9 @@ class TestComposedReduction:
         assert bundle_inst.gprime.n == 15
         assert apex_inst.gpp.n == 16  # 3|V| + 2|E| + 1
         assert apex_inst.M == 4  # |V| + 1
-        assert apex_inst.roles[-1] == "new"
-        assert apex_inst.roles[:15] == bundle_inst.roles
+        # the bundle gadget keeps its 15 ids, and the apex comes last
+        assert apex_inst.new_vertex == 15
+        assert apex_inst.source == bundle_inst.gprime and apex_inst.f == bundle_inst.x
         assert dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value == 2
 
     def test_two_vertices(self):
@@ -443,7 +500,8 @@ class TestGadgetsMatchEdgeListBuild:
                 forced_seen += bundle_inst.forced > 0
                 assert_same_graph(bundle_inst.gprime, bundle_ref)
                 assert_same_graph(apex_inst.gpp, apex_ref)
-                assert apex_inst.roles == bundle_inst.roles + ("new",)
+                assert apex_inst.source == bundle_inst.gprime
+                assert apex_inst.new_vertex == bundle_inst.gprime.n
                 assert apex_inst.fpp == tuple(x + g.n + 1 for x in bundle_inst.x) + (0,)
         assert forced_seen
 
@@ -452,36 +510,36 @@ class TestGadgetsMatchEdgeListBuild:
         assert graphs[0].n == 1
         for g in graphs:
             refs = {}
-            roles = tuple(f"orig:{v}" for v in range(g.n)) + ("new",)
             for f in divisors_in_box(g, -1, 0):
                 # a supplied M is checked by solving dist_rec: build M = 2 directly
-                for inst in (reduce_rec_to_nonhalt(g, f), _apex_gadget(g, f, 2, roles)):
+                for inst in (reduce_rec_to_nonhalt(g, f), _apex_gadget(g, f, 2)):
                     if inst.M not in refs:
                         refs[inst.M] = Multigraph(
                             g.n + 1, g.edges() + [(v, g.n, inst.M) for v in range(g.n)]
                         )
                     assert_same_graph(inst.gpp, refs[inst.M])
                     assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
-                    assert inst.roles == roles
+                    assert (inst.source, inst.new_vertex) == (g, g.n)
 
     def test_trusted_rows_equal_validated_rows(self):
-        # the gadgets write their rows straight into the stored shape, which
-        # Multigraph(n, edges) reaches by validating and sorting
+        # every builder writes its rows straight into the stored shape and
+        # states its degrees in closed form; Multigraph(n, edges) reaches the
+        # same by validating and sorting the edges and summing each row.  The
+        # composed gadget's bundle is reduce_tss_to_rec's.
         built = []
-        for g in connected_simple_graphs([2, 3, 4]):
-            for tau in (g.degrees, (0,) * g.n):
-                apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
-                built += [bundle_inst.gprime, apex_inst.gpp]
+        for g, tau in TestBundleGadgetIsThePapers.FAMILY:
+            apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+            built += [bundle_inst.gprime, apex_inst.gpp,
+                      reduce_rec_to_nonhalt(g, tau).gpp, subdivide_to_simple(g, tau)[0]]
         for g in connected_multigraphs(4, 6):
             f = tuple(range(g.n))
             built += [reduce_rec_to_nonhalt(g, f).gpp, subdivide_to_simple(g, f)[0]]
         for h in built:
             validated = Multigraph(h.n, h.edges())
-            assert (h.nbrs, h.degrees, h.edge_count) == (
-                validated.nbrs, validated.degrees, validated.edge_count)
-            for row in h.nbrs:
-                ids = [u for u, _m in row]
-                assert all(a < b for a, b in zip(ids, ids[1:])), row
+            assert h == validated
+            assert h.degrees == validated.degrees == tuple(
+                sum(m for _u, m in row) for row in h.nbrs)
+            assert h.edge_count == validated.edge_count
 
 
 class TestSubdivision:

@@ -34,9 +34,9 @@ CASES = {
                                     "agree": False, "fingerprint": "abc"}),
     "TssToRecInstance": (TssToRecInstance, _fields(
         reduce_tss_to_rec(K2, (1, 1)),
-        "gprime x N inner core outer ports roles circ bullet source tau forced")),
+        "gprime x N inner core outer ports owner source tau forced")),
     "RecToNonhaltInstance": (RecToNonhaltInstance, _fields(
-        reduce_rec_to_nonhalt(K2, (1, 0)), "gpp fpp M new_vertex roles source f")),
+        reduce_rec_to_nonhalt(K2, (1, 0)), "gpp fpp M new_vertex source f")),
 }
 
 
