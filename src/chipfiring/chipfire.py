@@ -53,12 +53,13 @@ It skips only what cannot complete within the budget, so it finds the same
 vector: slack above the degree is paid up front (a vertex receives at most
 its degree); each edge among unfired vertices delivers once and payments
 cover the rest, so paying chips the budget starts at that bound, and with
-seeds every branch, the root included, is held to it, counting only the
-vertices it may still seed (a seed at most its slack) and the seeds it has
-left; a payment short of a slack, which fires nothing, needs budget left to
-pay a later vertex in full; and an unseeded vertex must fire once all later
-vertices are seeded.  Paying chips, the bound is checked at the root only:
-the nodes are many and cheap, and checking each costs more than it cuts.
+seeds every branch, the root included, is held to it by the seeds it has
+left, each at most the slack of a vertex it may still seed (sorted once per
+node); a payment short of a slack, which fires nothing, needs budget left to
+pay a later vertex in full, so a vertex neither payment fits is passed over;
+and an unseeded vertex must fire once all later vertices are seeded.  Paying
+chips, the bound is checked at the root only: the nodes are many and cheap,
+and checking each costs more than it cuts.
 
 Winnability is decided by a game whose length does not grow with the chip
 count.  Firing keeps the degree, so a negative degree is never winnable,
@@ -252,7 +253,8 @@ def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
 
     Paying chips, the budget starts at `need`, the slack of the unfired
     vertices minus the edges among them; with seeds it starts at 1, and a
-    budget below `_top_up`'s seed bound fails at its first unfired vertex."""
+    budget whose seeds, at most a slack each, cannot cover `need` fails at
+    the root's first unfired vertex, by the per-node bound of `_top_up`."""
     n = len(slack)
     slack, done, pay = list(slack), bytearray(n), [0] * n
     for v, d in enumerate(degs):
@@ -269,44 +271,24 @@ def _least_top_up(nbrs, degs, slack, unit) -> tuple[int, tuple[int, ...]]:
     return sum(pay), tuple(pay)
 
 
-def _seeds_needed(slack, done, start, need) -> int:
-    """Fewest seeds on the unfired vertices >= start whose slacks sum to at
-    least `need`, or len(slack) + 1 if all of them fall short.
-
-    `need` is the slack of the unfired vertices minus the edges among them:
-    each such edge delivers a chip at most once, so seeds must cover the
-    rest, and a seed covers at most its vertex's slack.  No fewer seeds
-    can complete the cascade.
-
-    Under `_top_up` the candidates always cover `need`, so the last return
-    is never reached there.  `_top_up` leaves a vertex unseeded only if
-    seeding every later vertex still fires it, so seeding every unfired
-    vertex >= start completes the cascade, and the chips the other unfired
-    vertices then take all come over edges among the unfired."""
-    if need <= 0:
-        return 0
-    candidates = sorted((s for s, d in zip(slack[start:], done[start:]) if not d), reverse=True)
-    for k, s in enumerate(candidates, 1):
-        need -= s
-        if need <= 0:
-            return k
-    return len(slack) + 1
-
-
 def _top_up(nbrs, slack, done, left, start, budget, unit, pay, need) -> bool:
     """Whether payments of total at most `budget` on the vertices >= start
     complete a cascade-closed state with `left` vertices unfired; the first
     such vector, largest payment first, is added to `pay`.
 
     With `unit`, `need` is the slack of the unfired vertices minus the
-    edges among them, and a branch with fewer seeds left than
-    `_seeds_needed` for the vertices it may still seed is cut.  It cannot
-    complete, so the first completing vector, the witness, is the same with
-    or without the cut.  Paying chips, `need` is the root's and unused."""
+    edges among them, and a branch is cut once its `budget` largest
+    seedable slacks, sorted once per node, sum below it.  Paying chips,
+    `need` is the root's and unused, and a vertex is skipped when neither
+    its whole slack nor a short payment fits.  Neither cut drops a
+    completing vector, so the first one, the witness, stays the same."""
     if not left or not budget:
         return not left
     n = len(slack)
-    if not unit:
+    if unit:
+        # the slacks the node may still seed, largest first
+        top = sorted((s for s, d in zip(slack[start:], done[start:]) if not d), reverse=True)
+    else:
         # nothing fires unless some vertex is paid its whole slack
         least = min((s for s, d in zip(slack[start:], done[start:]) if not d), default=budget + 1)
         if least > budget:
@@ -314,13 +296,19 @@ def _top_up(nbrs, slack, done, left, start, budget, unit, pay, need) -> bool:
     for i in range(start, n):
         if done[i]:
             continue
-        if unit and _seeds_needed(slack, done, i, need) > budget:
-            return False
         s = slack[i]
-        # a payment short of s fires nothing: it must leave room to pay a
-        # later vertex in full
-        short = () if unit else range(min(s - 1, budget - least), 0, -1)
-        for p in chain((s,) if unit or s <= budget else (), short):
+        if unit:
+            if need > sum(top[:budget]):
+                return False
+            top.remove(s)
+            pays = (s,)
+        elif s > budget and budget <= least:
+            continue
+        else:
+            # a payment short of s fires nothing: it must leave room to pay
+            # a later vertex in full
+            pays = chain((s,) if s <= budget else (), range(min(s - 1, budget - least), 0, -1))
+        for p in pays:
             cost = 1 if unit else p
             trial = slack.copy()
             trial[i] = s - p

@@ -19,8 +19,9 @@ entry passes the state on; a positive one plays only the avalanche from its
 vertex, the only one it can make active.  `effective_divisors` builds each
 level by the same rule, so it caches only the levels asked for, never a
 smaller sub-table.  Both distances are exponential by design.  Raising every
-vertex to its degree reaches a recurrent, hence non-halting, divisor, which
-bounds both.
+vertex to its degree, the pointwise deficit filler, reaches a recurrent,
+hence non-halting, divisor, so both searches end by its degree; it proves
+that they end, and `dist_nonhalt` does not compute it to cap its levels.
 
 f + g halts exactly when its winnability complement deg - 1 - f - g is
 winnable, and winnability depends only on the linear equivalence class.  So
@@ -44,6 +45,7 @@ state.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from .chipfire import (
@@ -113,9 +115,9 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     # slack of the stabilization plus cand[:v]; a stored state is never
     # mutated, and states[0], the stabilization, is positive everywhere
     states = [slack] * (n + 1)
-    limit = upper_bound_to_recurrent(g, f)
-    # lower levels leave a winnable complement of degree >= genus: all halt
-    for k in range(max(1, g.edge_count - deg(f)), limit + 1):
+    # lower levels leave a winnable complement of degree >= genus: all halt;
+    # the pointwise deficit filler is non-halting, so some level returns
+    for k in count(max(1, g.edge_count - deg(f))):
         j = 0
         for cand in effective_divisors(k, n):
             # cand differs from its predecessor from j on, and is zero after
@@ -134,7 +136,6 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
                 j += 1
             while j > 0 and not cand[j]:
                 j -= 1
-    raise AssertionError("unreachable: the pointwise deficit filler is non-halting")
 
 
 def rank(g: Multigraph, f) -> int:

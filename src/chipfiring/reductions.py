@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chipfire import add, is_effective, is_recurrent, validate_divisor
+from .chipfire import _cascade, is_effective, validate_divisor
 from .distance import dist_rec
 from .errors import GraphStructureError, WitnessError
 from .multigraph import Multigraph, _is_int
@@ -157,6 +157,13 @@ def bundle_roles(g: Multigraph) -> tuple[str, ...]:
                  + [f"p:{u}:{v}" for u, v in _port_ends(g)])
 
 
+def _recurrent_sum(inst: TssToRecInstance, y) -> bool:
+    """Whether x + y is recurrent: one cascade over the slack deg - x - y."""
+    g = inst.gprime
+    slack = [d - a - b for d, a, b in zip(g.degrees, inst.x, y)]
+    return len(_cascade(g.nbrs, slack, bytearray(g.n), range(g.n))) == g.n
+
+
 def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
     """Turn a valid target set into a recurrence witness: one chip on the
     outer vertex of every seed that is not forced (the gadget activates
@@ -171,8 +178,7 @@ def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
     for v in members:
         if v not in forced:
             y[inst.outer[v]] = 1
-    ok, _trace = is_recurrent(inst.gprime, add(inst.x, y))
-    if not ok:
+    if not _recurrent_sum(inst, y):
         raise WitnessError("lifted seed chips do not make the gadget configuration recurrent")
     return tuple(y)
 
@@ -205,7 +211,7 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
     y = validate_divisor(inst.gprime, y)
     if not is_effective(y):
         raise WitnessError("witness must be effective")
-    if not is_recurrent(inst.gprime, add(inst.x, y))[0]:
+    if not _recurrent_sum(inst, y):
         raise WitnessError("x + y is not recurrent")
     members = {inst.owner[z] for z, k in enumerate(y) if k}
     members.update(_forced_vertices(inst.source, inst.tau))

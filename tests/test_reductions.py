@@ -232,6 +232,19 @@ class TestWitnessTransport:
         with pytest.raises(WitnessError):
             extract_target_set(inst, (0,) * inst.gprime.n)
 
+    def test_lift_and_extract_check_recurrence(self):
+        # one chip short on core 1, the gadget needs more than the lifted
+        # seed: lift refuses it, and extract refuses the intact gadget's
+        # lifted witness, which still passes the effective check
+        inst = reduce_tss_to_rec(K2, (1, 1))
+        x = list(inst.x)
+        x[inst.core[1]] -= 1
+        bad = inst._replace(x=tuple(x))
+        with pytest.raises(WitnessError, match="recurrent"):
+            lift_target_set(bad, (0,))
+        with pytest.raises(WitnessError, match="recurrent"):
+            extract_target_set(bad, lift_target_set(inst, (0,)))
+
     def test_extract_rejects_negative(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n

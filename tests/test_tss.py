@@ -9,9 +9,11 @@ from chipfiring import (
     InvalidVertexError,
     Multigraph,
     activation_closure,
+    dist_rec,
     greedy_target_set,
     is_target_set,
     min_target_set,
+    reduce_tss_to_rec,
 )
 from chipfiring import chipfire
 from chipfiring.families import (
@@ -146,25 +148,30 @@ def test_minimum_truly_minimal_exhaustive():
                     assert not is_target_set(g, tau, smaller)
 
 
-def test_seed_bound_always_finds_enough_candidates(monkeypatch):
-    # `_top_up` cuts a branch that leaves a vertex unseeded unless seeding
-    # every later one completes the cascade, so the candidates' slack
-    # always covers the need and the bound's fallback never runs
-    real = chipfire._seeds_needed
+def test_search_tree_is_pinned_by_cascade_calls(monkeypatch):
+    # `_top_up` runs one `_cascade` per seed or full payment it tries and one
+    # per unseeded-vertex check, so these totals pin the search trees of
+    # min_target_set and of dist_rec on the bundle gadgets
+    real = chipfire._cascade
     calls = 0
 
-    def bound(slack, done, start, need):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        k = real(slack, done, start, need)
-        assert k != len(slack) + 1, (slack, bytes(done), start, need)
-        return k
+        return real(*args)
 
-    monkeypatch.setattr(chipfire, "_seeds_needed", bound)
-    for g in connected_simple_graphs([2, 3, 4]):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
-            min_target_set(g, tau)
-    assert calls
+    monkeypatch.setattr(chipfire, "_cascade", counted)
+    instances = [(g, tau) for g in connected_simple_graphs([2, 3, 4])
+                 for tau in threshold_assignments(g, low=0, high_offset=1)]
+    assert len(instances) == 1909
+    for g, tau in instances:
+        min_target_set(g, tau)
+    assert calls == 2618
+    calls = 0
+    for g, tau in instances:
+        inst = reduce_tss_to_rec(g, tau)
+        dist_rec(inst.gprime, inst.x)
+    assert calls == 3287
 
 
 def _activates_all(g, tau, seed):
