@@ -116,10 +116,6 @@ class Multigraph:
         self._check_vertex(v)
         return self.degrees[v]
 
-    def degree_vector(self) -> tuple[int, ...]:
-        """Per-vertex degrees, viewable as a divisor of degree 2*edge_count."""
-        return self.degrees
-
     def multiplicity(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -129,9 +125,6 @@ class Multigraph:
         """(vertex, multiplicity) pairs for every neighbor of v."""
         self._check_vertex(v)
         return self.nbrs[v]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> list[Edge]:
         """Unordered pairs with positive multiplicity, as sorted (u, v, m) triples."""

@@ -46,8 +46,9 @@ Vertex ids are laid out deterministically (inner block, core block, outer
 block, then ports in sorted edge order; the apex is always last) so that
 instances are byte-reproducible.  Beside that layout each construction
 states its degrees in closed form, and the bundle gadget each vertex's owner,
-the source vertex it stands for; only the CLI formats role strings, by
-`bundle_roles` and `subdivision_roles`.
+the source vertex it stands for.  Only the CLI formats role strings:
+`bundle_roles` and `subdivision_roles` give the bundle gadget's and the
+subdivision's, and the CLI writes the apex gadget's `orig:v` and `new`.
 """
 
 from __future__ import annotations
@@ -62,8 +63,11 @@ from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 
 class TssToRecInstance(NamedTuple):
-    """Bundle-gadget output: graph, chip configuration, the id blocks, and
-    the owner of each gadget vertex: v for v_i, v_c and v_o, u for p_uv."""
+    """Bundle-gadget output: graph, chip configuration, bundle size N, the
+    inner, core and outer id blocks, the owner of each gadget vertex (v for
+    v_i, v_c and v_o, u for p_uv), and the source instance with its count of
+    forced vertices.  Port j is vertex 3n + j, its ends given by
+    `_port_ends`."""
 
     gprime: Multigraph
     x: tuple[int, ...]
@@ -71,7 +75,6 @@ class TssToRecInstance(NamedTuple):
     inner: tuple[int, ...]
     core: tuple[int, ...]
     outer: tuple[int, ...]
-    ports: dict[tuple[int, int], int]
     owner: tuple[int, ...]
     source: Multigraph
     tau: tuple[int, ...]
@@ -79,12 +82,12 @@ class TssToRecInstance(NamedTuple):
 
 
 class RecToNonhaltInstance(NamedTuple):
-    """Apex-gadget output: graph, shifted chips, apex id and multiplicity."""
+    """Apex-gadget output: graph, shifted chips, apex multiplicity M, and the
+    source graph and chips.  The apex is vertex source.n, the last id."""
 
     gpp: Multigraph
     fpp: tuple[int, ...]
     M: int
-    new_vertex: int
     source: Multigraph
     f: tuple[int, ...]
 
@@ -112,22 +115,21 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     # then u_o - p_uv (N) and p_uv - v_i (1) for the two ports of each source
     # edge; each port outnumbers every id before it, so appending it keeps
     # the rows of u_o and v_i sorted
-    ports: dict[tuple[int, int], int] = {}
     owner = [*range(n)] * 3
     for u, v in _port_ends(g):
-        p = ports[(u, v)] = len(rows)
+        p = len(rows)
         rows[outer[u]].append((p, bundle))
         rows.append(((inner[v], 1), (outer[u], bundle)))
         rows[inner[v]].append((p, 1))
         owner.append(u)
     # degrees N + deg(v) on v_i, N + 1 on v_c, 1 + N deg(v) on v_o, and N + 1
-    # on ports; chips deg - tau on v_i (all of deg when v is forced), deg - 1
-    # on v_o, and deg - N = 1 on cores and ports
+    # on the 2|E| ports; chips deg - tau on v_i (all of deg when v is
+    # forced), deg - 1 on v_o, and deg - N = 1 on cores and ports
     gprime = Multigraph._from_rows(rows, [bundle + d for d in degs] + n * [bundle + 1]
                                    + [1 + bundle * d for d in degs]
-                                   + len(ports) * [bundle + 1])
+                                   + 2 * g.edge_count * [bundle + 1])
     x = ([bundle + d - (t if t <= d else 0) for d, t in zip(degs, tau)] + n * [1]
-         + [bundle * d for d in degs] + len(ports) * [1])
+         + [bundle * d for d in degs] + 2 * g.edge_count * [1])
 
     return TssToRecInstance(
         gprime=gprime,
@@ -136,7 +138,6 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         inner=inner,
         core=core,
         outer=outer,
-        ports=ports,
         owner=tuple(owner),
         source=g,
         tau=tau,
@@ -254,14 +255,13 @@ def reduce_rec_to_nonhalt(g: Multigraph, f, M: int | None = None) -> RecToNonhal
 
 def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int) -> RecToNonhaltInstance:
     """The apex gadget of a connected g, with f and M already validated:
-    degrees deg + M, and n M on the apex."""
+    degrees deg + M, and n M on the apex, vertex n."""
     n = g.n
-    apex = n
-    rows = [row + ((apex, M),) for row in g.nbrs]
+    rows = [row + ((n, M),) for row in g.nbrs]
     rows.append([(v, M) for v in range(n)])
     gpp = Multigraph._from_rows(rows, [d + M for d in g.degrees] + [n * M])
     fpp = tuple([x + M for x in f] + [0])
-    return RecToNonhaltInstance(gpp=gpp, fpp=fpp, M=M, new_vertex=apex, source=g, f=f)
+    return RecToNonhaltInstance(gpp=gpp, fpp=fpp, M=M, source=g, f=f)
 
 
 def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, TssToRecInstance]:

@@ -183,13 +183,28 @@ def test_distance_and_rank_depend_only_on_the_class(seed):
     g = random_connected_multigraph(rng, max_n=6, max_extra_edges=3)
     f = random_divisor(rng, g, low=-2, high_offset=0)
     moved = list(f)
-    for v in g.vertices():
+    for v in range(g.n):
         x = rng.randint(-10**6, 10**6)
         moved[v] -= g.degrees[v] * x
         for u, m in g.nbrs[v]:
             moved[u] += m * x
     assert dist_nonhalt(g, moved) == dist_nonhalt(g, f)
     assert rank(g, moved) == rank(g, f)
+
+
+def test_float_solve_only_chooses_the_firing_vector(monkeypatch):
+    # _reduce applies the firing vector the float solve suggests exactly and
+    # keeps it only if it shrinks the entries, so a solve that returns zeros
+    # (the first round shrinks nothing and stops) or noise changes no answer
+    # and no witness; every a here exceeds the cycle's 8 edges
+    g = cycle_graph(8)
+    cases = [(a, -a) + (0,) * 6 for a in (9, 16, 17, 40, 41)]
+    expected = [(is_winnable(g, f), dist_nonhalt(g, f)) for f in cases]
+    rng = Random(28)
+    for solve in (lambda degs, nbrs, b: [0.0] * len(b),
+                  lambda degs, nbrs, b: [rng.uniform(-50.0, 50.0) for _ in b]):
+        monkeypatch.setattr(chipfiring.chipfire, "_grounded_solve", solve)
+        assert [(is_winnable(g, f), dist_nonhalt(g, f)) for f in cases] == expected
 
 
 @given(instances)

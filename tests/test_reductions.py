@@ -35,6 +35,7 @@ from chipfiring.families import (
     connected_simple_graphs,
     cycle_graph,
     divisors_in_box,
+    path_graph,
     random_connected_multigraph,
     random_divisor,
     threshold_assignments,
@@ -52,9 +53,9 @@ def xplus(inst, y):
 
 def circ_and_bullet(inst):
     """The paper's two vertex kinds: circ holds v_i and v_o, bullet holds v_c
-    and the ports."""
+    and the ports, every id from 3n on."""
     return (frozenset(inst.inner) | frozenset(inst.outer),
-            frozenset(inst.core) | frozenset(inst.ports.values()))
+            frozenset(inst.core) | frozenset(range(3 * inst.source.n, inst.gprime.n)))
 
 
 class TestBundleGadget:
@@ -66,7 +67,7 @@ class TestBundleGadget:
         assert inst.x[inst.inner[0]] == 4
         assert inst.x[inst.outer[0]] == 4
         assert inst.x[inst.core[0]] == 1
-        assert inst.x[inst.ports[(0, 1)]] == 1
+        assert inst.x[6] == 1  # port p_01, id 3n + 0
         assert dist_rec(inst.gprime, inst.x).value == 1 == min_target_set(K2, (1, 1)).size
 
     def test_triangle_shape_and_equality(self):
@@ -94,7 +95,9 @@ class TestBundleGadget:
             assert all(inst.x[z] == 1 for z in bullet)
             assert circ | bullet == frozenset(range(gp.n))
             assert not circ & bullet
-            assert inst.owner == tuple(range(g.n)) * 3 + tuple(u for u, _v in inst.ports)
+            # ports p_ab then p_ba for each edge ab, owned by a then b
+            assert inst.owner == tuple(range(g.n)) * 3 + tuple(
+                u for a, b, _m in g.edges() for u in (a, b))
             assert sorted(bundle_roles(g)) == sorted(
                 [f"i:{v}" for v in range(g.n)]
                 + [f"c:{v}" for v in range(g.n)]
@@ -245,6 +248,18 @@ class TestWitnessTransport:
         with pytest.raises(WitnessError, match="recurrent"):
             extract_target_set(bad, lift_target_set(inst, (0,)))
 
+    def test_extract_rechecks_the_set_it_reads(self):
+        # the path 0 - 1 - 2 at tau (1, 2, 1) is activated by {1} alone; with
+        # the owner of 1's outer vertex misstated as 0, the set read off the
+        # lifted witness is {0}, which leaves 2 inactive
+        inst = reduce_tss_to_rec(path_graph(3), (1, 2, 1))
+        y = lift_target_set(inst, (1,))
+        owner = list(inst.owner)
+        owner[inst.outer[1]] = 0
+        with pytest.raises(WitnessError, match="^extracted seed set does not activate the "
+                                               "whole source graph$"):
+            extract_target_set(inst._replace(owner=tuple(owner)), y)
+
     def test_extract_rejects_negative(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
@@ -260,7 +275,7 @@ class TestWitnessTransport:
         y = [0] * inst.gprime.n
         y[inst.outer[0]] = 2
         assert extract_target_set(inst, tuple(y)).members == (0,)
-        y[inst.ports[(1, 0)]] = 1
+        y[7] = 1  # port p_10, id 3n + 1
         assert extract_target_set(inst, tuple(y)).members == (0, 1)
 
     def test_lift_every_target_set(self):
@@ -384,7 +399,6 @@ class TestApexGadget:
         assert inst.gpp.n == 3
         assert inst.fpp == (3, 3, 0)
         assert inst.gpp.edge_count == 7  # 1 + 3*2
-        assert inst.new_vertex == 2
         # the source keeps its ids and edges, and the apex comes last
         assert inst.gpp.edges() == [(0, 1, 1), (0, 2, 3), (1, 2, 3)]
         assert inst.gpp.degrees == (4, 4, 6)
@@ -398,7 +412,7 @@ class TestApexGadget:
             inst = reduce_rec_to_nonhalt(g, f)
             assert inst.gpp.n == g.n + 1
             assert inst.gpp.edge_count == g.edge_count + inst.M * g.n
-            assert inst.fpp[inst.new_vertex] == 0
+            assert inst.fpp[g.n] == 0  # the apex
 
     def test_supplied_m_verified(self):
         with pytest.raises(WitnessError):
@@ -426,7 +440,7 @@ class TestComposedReduction:
         assert apex_inst.gpp.n == 16  # 3|V| + 2|E| + 1
         assert apex_inst.M == 4  # |V| + 1
         # the bundle gadget keeps its 15 ids, and the apex comes last
-        assert apex_inst.new_vertex == 15
+        assert apex_inst.gpp.degrees[15] == 15 * 4 and apex_inst.fpp[15] == 0
         assert apex_inst.source == bundle_inst.gprime and apex_inst.f == bundle_inst.x
         assert dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value == 2
 
@@ -451,7 +465,7 @@ class TestApexLegBackMap:
         assert len(self.FAMILY) == 163
         for g, tau in self.FAMILY:
             apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
-            gpp, fpp, M, apex = apex_inst.gpp, apex_inst.fpp, apex_inst.M, apex_inst.new_vertex
+            gpp, fpp, M, apex = apex_inst.gpp, apex_inst.fpp, apex_inst.M, apex_inst.source.n
             assert all(x <= d for x, d in zip(bundle_inst.x, bundle_inst.gprime.degrees))
             best = dist_nonhalt(gpp, fpp)
             tops = [best.witness]
@@ -514,7 +528,6 @@ class TestGadgetsMatchEdgeListBuild:
                 assert_same_graph(bundle_inst.gprime, bundle_ref)
                 assert_same_graph(apex_inst.gpp, apex_ref)
                 assert apex_inst.source == bundle_inst.gprime
-                assert apex_inst.new_vertex == bundle_inst.gprime.n
                 assert apex_inst.fpp == tuple(x + g.n + 1 for x in bundle_inst.x) + (0,)
         assert forced_seen
 
@@ -532,7 +545,7 @@ class TestGadgetsMatchEdgeListBuild:
                         )
                     assert_same_graph(inst.gpp, refs[inst.M])
                     assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
-                    assert (inst.source, inst.new_vertex) == (g, g.n)
+                    assert inst.source == g
 
     def test_trusted_rows_equal_validated_rows(self):
         # every builder writes its rows straight into the stored shape and
@@ -560,7 +573,7 @@ class TestSubdivision:
         g2, f2 = subdivide_to_simple(C3, (1, 0, 0))
         assert g2.n == 6
         assert g2.is_simple()
-        assert g2.degree_vector() == (2,) * 6
+        assert g2.degrees == (2,) * 6
         assert f2 == (1, 0, 0, 0, 0, 0)
         assert rank(C3, (1, 0, 0)) == rank(g2, f2) == 0
 
