@@ -28,6 +28,8 @@ GUARDS = {"game": 16, "tss": 20, "verify-chain": 6}
 ORACLE_SCAN = 100_000
 # the most lowerings its winnability descent may make, see _check_descent
 ORACLE_DESCENT = 100_000
+# the most vertices subdivide may build, one per vertex and edge copy
+SUBDIVISION = 100_000
 
 
 def _read(path: str) -> str:
@@ -257,6 +259,11 @@ def _cmd_reduce(args, g: Multigraph, x) -> int:
 
 
 def _cmd_subdivide(args, g: Multigraph, f) -> int:
+    # a guard on n alone admits two vertices joined by 10^12 edges
+    size = g.n + g.edge_count
+    if size > SUBDIVISION:
+        raise SizeGuardError(f"the subdivision would have {size} vertices, above its bound of "
+                             f"{SUBDIVISION}")
     g2, f2 = reductions.subdivide_to_simple(g, f)
     return _write_bundle(args, g2, f2, None, None, reductions.subdivision_roles(g))
 
@@ -361,6 +368,8 @@ def main(argv=None) -> int:
     handler, second, kind, _options, _help = COMMANDS[args.command]
     directory = args.command == "verify-chain" and Path(args.graph).is_dir()
     try:
+        if args.max_n is not None and args.max_n < 1:
+            raise ChipFiringError(f"--max-n must be a positive integer, got {args.max_n}")
         if args.command == "reduce":
             if args.m is not None and args.kind != "rec-to-nonhalt":
                 raise ChipFiringError(f"--m applies only to rec-to-nonhalt, not {args.kind}")

@@ -301,26 +301,34 @@ def rank_definitional(g: Multigraph, f) -> int:
     raise AssertionError("unreachable: removing deg(f)+1 chips leaves a negative degree")
 
 
+def _run_chain(g: Multigraph, tau) -> tuple:
+    """The chain's reports and what they were read from, as the tuple
+    (reports, least target set, bundle instance, apex instance, dist_rec
+    result on the bundle gadget, dist_nonhalt result on the apex gadget)."""
+    tau = validate_thresholds(g, tau)
+    fp = instance_fingerprint(g, tau)
+    least = min_target_set(g, tau)
+    ts_oracle = ts_subset_enumeration(g, tau)
+    apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
+    rec = dist_rec(bundle_inst.gprime, bundle_inst.x)
+    nonhalt = dist_nonhalt(apex_inst.gpp, apex_inst.fpp)
+    ts, forced = least.size, bundle_inst.forced
+    rows = [
+        ("target-set-size/subset-oracle", ts, ts_oracle, eq),
+        ("target-set-size/dist-rec", ts, rec.value + forced, eq),
+        ("dist-rec/dist-nonhalt", rec.value, nonhalt.value, eq),
+        ("target-set-size/dist-nonhalt", ts, nonhalt.value + forced, eq),
+        ("bundle-margin (N vs dist-rec + 1)", bundle_inst.N, rec.value + 1, gt),
+        ("apex-margin (M vs dist-nonhalt)", apex_inst.M, nonhalt.value, gt),
+    ]
+    reports = [OracleReport(quantity, pipeline, oracle, holds(pipeline, oracle), fp)
+               for quantity, pipeline, oracle, holds in rows]
+    return reports, least, bundle_inst, apex_inst, rec, nonhalt
+
+
 def verify_reduction_chain(g: Multigraph, tau) -> list[OracleReport]:
     """Run every leg of the target-set-to-chip-distance chain on one instance
     and report each equality and safety margin; disagreements are returned,
     never swallowed.  The target-set size must equal each distance plus the
     number of forced vertices (tau = deg + 1), which the gadget seeds itself."""
-    tau = validate_thresholds(g, tau)
-    fp = instance_fingerprint(g, tau)
-    ts_pipeline = min_target_set(g, tau).size
-    ts_oracle = ts_subset_enumeration(g, tau)
-    apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
-    rec_value = dist_rec(bundle_inst.gprime, bundle_inst.x).value
-    nonhalt_value = dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value
-    forced = bundle_inst.forced
-    rows = [
-        ("target-set-size/subset-oracle", ts_pipeline, ts_oracle, eq),
-        ("target-set-size/dist-rec", ts_pipeline, rec_value + forced, eq),
-        ("dist-rec/dist-nonhalt", rec_value, nonhalt_value, eq),
-        ("target-set-size/dist-nonhalt", ts_pipeline, nonhalt_value + forced, eq),
-        ("bundle-margin (N vs dist-rec + 1)", bundle_inst.N, rec_value + 1, gt),
-        ("apex-margin (M vs dist-nonhalt)", apex_inst.M, nonhalt_value, gt),
-    ]
-    return [OracleReport(quantity, pipeline, oracle, holds(pipeline, oracle), fp)
-            for quantity, pipeline, oracle, holds in rows]
+    return _run_chain(g, tau)[0]

@@ -421,13 +421,23 @@ def test_out_of_memory_exits_2(run, monkeypatch):
             "error: verify-chain reads a directory's thresholds from its *.thr files, "
             "not from k2.thr\n",
         ),
+        # refused before any file is read: neither of these files exists
+        (
+            ("rank", "missing.graph", "missing.div", "--max-n", "0"),
+            "error: --max-n must be a positive integer, got 0\n",
+        ),
+        (
+            ("rank", "missing.graph", "missing.div", "--max-n", "-1"),
+            "error: --max-n must be a positive integer, got -1\n",
+        ),
     ],
     ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
          "two-vertex-counts", "edges-not-a-list", "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
          "non-utf8-divisor", "non-utf8-thresholds", "long-text-divisor", "long-text-thresholds",
          "long-text-vertex-count", "long-text-edge", "m-tss-to-rec", "m-tss-to-nonhalt",
          "m-at-bound", "out-unwritable", "verify-chain-no-thresholds",
-         "verify-chain-empty-directory", "verify-chain-directory-and-thresholds"],
+         "verify-chain-empty-directory", "verify-chain-directory-and-thresholds",
+         "max-n-zero", "max-n-negative"],
 )
 def test_input_errors_exit_2(run, argv, stderr):
     # a typed error, not a traceback, which would exit 1
@@ -693,6 +703,22 @@ def test_rank_of_one_chip_per_vertex_on_a_cycle_within_seconds(tmp_path, n):
     (tmp_path / "x.div").write_text(divisor_to_text((1,) * n))
     proc = _run_capped(tmp_path, ["rank", "g.graph", "x.div", *J], timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f'{{"rank": {n - 1}}}\n', "")
+
+
+@pytest.mark.parametrize("max_n", [(), ("--max-n", "40")], ids=["guard", "max-n"])
+def test_subdivide_refuses_a_build_above_its_bound(tmp_path, max_n):
+    # two vertices pass the game guard, but subdividing 10^12 edge copies
+    # would build 10^12 vertices; --max-n does not lift the bound
+    (tmp_path / "g.graph").write_text(f"2\n0 1 {10**12}\n")
+    (tmp_path / "x.div").write_text("0 0\n")
+    start = time.monotonic()
+    proc = _run_capped(tmp_path, ["subdivide", "g.graph", "x.div", *max_n], timeout=30)
+    assert time.monotonic() - start < 2
+    warning = ("warning: raising the size guard to 40; these solvers take exponential time "
+               "in the worst case\n") if max_n else ""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"{warning}error: the subdivision would have {10**12 + 2} vertices, above its "
+               f"bound of {cli.SUBDIVISION}\n")
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from chipfiring import (
     is_winnable,
     min_target_set,
     rank,
+    reduce_tss_to_nonhalt,
 )
 from chipfiring.families import (
     complete_graph,
@@ -22,11 +23,12 @@ from chipfiring.families import (
     random_divisor,
     threshold_assignments,
 )
-from chipfiring.distance import dist_rec, effective_divisors
+from chipfiring.distance import dist_nonhalt, dist_rec, effective_divisors
 from chipfiring.oracles import (
     EXHAUSTIVE_GUARD,
     SUBSET_GUARD,
     OracleReport,
+    _run_chain,
     _top_ups,
     default_winnability_bound,
     instance_fingerprint,
@@ -245,6 +247,20 @@ def test_verify_chain_agrees_on_every_accepted_threshold():
     for g in connected_simple_graphs([1, 2, 3, 4]):
         for tau in threshold_assignments(g, low=0, high_offset=1):
             assert all(r.agree for r in verify_reduction_chain(g, tau)), (g, tau)
+
+
+def test_run_chain_returns_what_its_reports_read():
+    # the run hands back the instances and results its reports were read
+    # from, each equal to a fresh build or solve: 111 instances
+    for g in connected_simple_graphs([1, 2, 3]):
+        for tau in threshold_assignments(g, low=0, high_offset=1):
+            reports, least, bundle, apex, rec, nonhalt = _run_chain(g, tau)
+            assert reports == verify_reduction_chain(g, tau)
+            # every field: graph, chips, N and M among them
+            assert (apex, bundle) == reduce_tss_to_nonhalt(g, tau)
+            assert rec == dist_rec(bundle.gprime, bundle.x)
+            assert nonhalt == dist_nonhalt(apex.gpp, apex.fpp)
+            assert least == min_target_set(g, tau)
 
 
 def test_report_json_lines():
