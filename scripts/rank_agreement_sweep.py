@@ -26,6 +26,8 @@ from chipfiring.multigraph import graph_to_text
 from chipfiring.oracles import rank_definitional
 
 REGIMES = ("negative degree", "Riemann-Roch", "searched")
+# divisor entries are drawn from [LOW, degree + HIGH_OFFSET]
+LOW, HIGH_OFFSET = -2, 1
 
 
 def _regime(g, f) -> str:
@@ -43,9 +45,6 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-n", type=int, default=4)
-    parser.add_argument("--low", type=int, default=-2, help="lowest divisor entry")
-    parser.add_argument("--high-offset", type=int, default=1,
-                        help="entries go up to degree + OFFSET")
     args = parser.parse_args()
 
     rng = Random(args.seed)
@@ -54,7 +53,7 @@ def main() -> int:
     regimes = Counter()
     for trial in range(args.trials):
         g = random_connected_multigraph(rng, max_n=args.max_n, max_extra_edges=2)
-        f = random_divisor(rng, g, low=args.low, high_offset=args.high_offset)
+        f = random_divisor(rng, g, low=LOW, high_offset=HIGH_OFFSET)
         regimes[_regime(g, f)] += 1
         via_pipeline = rank(g, f)
         via_definition = rank_definitional(g, f)

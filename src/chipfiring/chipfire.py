@@ -120,10 +120,6 @@ def is_effective(f) -> bool:
     return all(x >= 0 for x in f)
 
 
-def add(f, g) -> Divisor:
-    return tuple(a + b for a, b in zip(f, g))
-
-
 def is_active(g: Multigraph, f, v: int) -> bool:
     g._check_vertex(v)
     f = validate_divisor(g, f)

@@ -250,7 +250,7 @@ def _cmd_reduce(args, g: Multigraph, x) -> int:
         inst = reductions.reduce_tss_to_rec(g, x)
         return _write_bundle(args, inst.gprime, inst.x, inst.N, None, reductions.bundle_roles(g))
     if args.kind == "rec-to-nonhalt":
-        inst = reductions.reduce_rec_to_nonhalt(g, x, M=args.m)
+        inst = reductions.reduce_rec_to_nonhalt(g, x)
         roles = [f"orig:{v}" for v in range(g.n)] + ["new"]
         return _write_bundle(args, inst.gpp, inst.fpp, None, inst.M, roles)
     apex_inst, bundle_inst = reductions.reduce_tss_to_nonhalt(g, x)
@@ -317,7 +317,7 @@ COMMANDS = {
                  "distance to a recurrent divisor"),
     "tss": (_cmd_tss, "thresholds", "tss", ("--oracle",), "minimum target set"),
     "trace": (_cmd_trace, "divisor", "game", ("--seed",), "canonical lowest-index game log"),
-    "reduce": (_cmd_reduce, None, None, ("--m", "--out"), "build a gadget instance"),
+    "reduce": (_cmd_reduce, None, None, ("--out",), "build a gadget instance"),
     "subdivide": (_cmd_subdivide, "divisor", "game", ("--out",),
                   "subdivide every edge; rank is preserved"),
     "verify-chain": (_cmd_verify_chain, "thresholds", "verify-chain", (),
@@ -326,7 +326,6 @@ COMMANDS = {
 
 # every option, in the order a subcommand's --help lists those it takes
 OPTIONS = {
-    "--m": dict(type=int, help="apex multiplicity override for rec-to-nonhalt (verified)"),
     "--out": dict(help="write PREFIX.graph/.div/.json instead of stdout"),
     "--format": dict(choices=["text", "json"], default="text"),
     "--max-n": dict(type=int, help="override the size guard (solvers are exponential)"),
@@ -371,8 +370,6 @@ def main(argv=None) -> int:
         if args.max_n is not None and args.max_n < 1:
             raise ChipFiringError(f"--max-n must be a positive integer, got {args.max_n}")
         if args.command == "reduce":
-            if args.m is not None and args.kind != "rec-to-nonhalt":
-                raise ChipFiringError(f"--m applies only to rec-to-nonhalt, not {args.kind}")
             second, kind = REDUCE[args.kind]
         if args.command == "verify-chain" and not directory and not args.second:
             raise ChipFiringError(

@@ -85,13 +85,6 @@ def effective_divisors(total: int, n: int) -> tuple[Divisor, ...]:
     return tuple(out)
 
 
-def upper_bound_to_recurrent(g: Multigraph, f) -> int:
-    """Chips needed to raise every vertex to its degree; always reaches a
-    recurrent divisor."""
-    f = validate_divisor(g, f)
-    return sum(max(0, d - x) for d, x in zip(g.degrees, f))
-
-
 def dist_rec(g: Multigraph, f) -> DistanceResult:
     """Minimum degree of an effective g such that f + g is recurrent."""
     g.require_connected()

@@ -38,6 +38,6 @@ class SizeGuardError(ChipFiringError, ValueError):
 
 
 class WitnessError(ChipFiringError, ValueError):
-    """A supplied witness or gadget parameter fails a required property: a
-    seed set that is not a target set, a top-up that is not effective or
-    leaves no recurrent divisor, or an apex multiplicity too small."""
+    """A supplied witness fails a required property: a seed set that is not
+    a target set, or a top-up that is not effective or leaves no recurrent
+    divisor."""

@@ -22,11 +22,13 @@ vertices.
 Apex gadget (distance to recurrence -> distance to non-halting).  A new apex
 vertex joins the graph with M parallel edges to every original vertex, M
 chips are added on every original vertex and none on the apex.  M must
-exceed dist_rec(G, f) + max(0, max_v(f(v) - degree(v))); the default
-2*|E| + sum of negative chips + that max term + 1 always suffices and keeps
-constructions reproducible without solving the distance first.  Once every
-original vertex fires once the apex holds exactly its degree in chips, so
-exactly-once games extend to non-halting games and vice versa.
+exceed dist_rec(G, f) + max(0, max_v(f(v) - degree(v))).  M is always
+2*|E| + sum of negative chips + that max term + 1, which clears the bound
+without solving any distance: topping every vertex up to its degree makes
+f recurrent, so dist_rec(G, f) is at most the pointwise deficit
+sum_v max(0, degree(v) - f(v)) <= 2*|E| + sum of negative chips.  Once
+every original vertex fires once the apex holds exactly its degree in
+chips, so exactly-once games extend to non-halting games and vice versa.
 
 Witness transport is total both ways.  `lift_target_set` turns any target
 set S into a recurrence witness of degree |S| minus the forced vertices, and
@@ -56,9 +58,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chipfire import _cascade, is_effective, validate_divisor
-from .distance import dist_rec
-from .errors import GraphStructureError, WitnessError
-from .multigraph import Multigraph, _is_int
+from .errors import WitnessError
+from .multigraph import Multigraph
 from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 
@@ -231,26 +232,13 @@ def default_apex_multiplicity(g: Multigraph, f) -> int:
     return 2 * g.edge_count + negative + overshoot + 1
 
 
-def reduce_rec_to_nonhalt(g: Multigraph, f, M: int | None = None) -> RecToNonhaltInstance:
-    """Build the apex gadget.
-
-    A supplied M is checked against the exact requirement
-    M > dist_rec(G, f) + max(0, max(f - degree)), which solves a distance.
-    """
+def reduce_rec_to_nonhalt(g: Multigraph, f) -> RecToNonhaltInstance:
+    """Build the apex gadget of a connected g with M =
+    default_apex_multiplicity(g, f), which always exceeds the requirement
+    dist_rec(G, f) + max(0, max(f - degree)) (see the module docstring)."""
     g.require_connected()
     f = validate_divisor(g, f)
-    if M is None:
-        M = default_apex_multiplicity(g, f)
-    elif not _is_int(M) or M < 1:
-        raise GraphStructureError(f"apex multiplicity must be a positive integer, got {M!r}")
-    else:
-        overshoot = max(0, max(x - d for x, d in zip(f, g.degrees)))
-        required = dist_rec(g, f).value + overshoot
-        if M <= required:
-            raise WitnessError(
-                f"apex multiplicity {M} must exceed {required} for this instance"
-            )
-    return _apex_gadget(g, f, M)
+    return _apex_gadget(g, f, default_apex_multiplicity(g, f))
 
 
 def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int) -> RecToNonhaltInstance:

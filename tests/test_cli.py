@@ -160,13 +160,6 @@ GOLDEN = [
         '[0, 2, 3], [1, 2, 3]], "n": 3}, "sidecar": {"M": 3, "N": null, "roles": '
         '["orig:0", "orig:1", "new"]}}\n',
     ),
-    # an --m above the bound dist_rec 1 + overshoot 0 replaces the default 7
-    (
-        ("reduce", "rec-to-nonhalt", "c3.graph", "halt.div", "--m", "2", *J),
-        '{"divisor": {"chips": [4, 2, 2, 0]}, "graph": {"edges": [[0, 1, 1], '
-        '[0, 2, 1], [0, 3, 2], [1, 2, 1], [1, 3, 2], [2, 3, 2]], "n": 4}, "sidecar": '
-        '{"M": 2, "N": null, "roles": ["orig:0", "orig:1", "orig:2", "new"]}}\n',
-    ),
     (
         ("reduce", "tss-to-nonhalt", "k2.graph", "k2.thr", *J),
         '{"divisor": {"chips": [7, 7, 4, 4, 7, 7, 4, 4, 0]}, "graph": {"edges": '
@@ -394,18 +387,6 @@ def test_out_of_memory_exits_2(run, monkeypatch):
             ]
         ],
         (
-            ("reduce", "tss-to-rec", "k2.graph", "k2.thr", "--m", "5"),
-            "error: --m applies only to rec-to-nonhalt, not tss-to-rec\n",
-        ),
-        (
-            ("reduce", "tss-to-nonhalt", "k2.graph", "k2.thr", "--m", "5"),
-            "error: --m applies only to rec-to-nonhalt, not tss-to-nonhalt\n",
-        ),
-        (
-            ("reduce", "rec-to-nonhalt", "c3.graph", "halt.div", "--m", "1"),
-            "error: apex multiplicity 1 must exceed 1 for this instance\n",
-        ),
-        (
             ("subdivide", "k2.graph", "k2.div", "--out", "missing/b"),
             "error: cannot write missing/b.graph: "
             "[Errno 2] No such file or directory: 'missing/b.graph'\n",
@@ -434,8 +415,7 @@ def test_out_of_memory_exits_2(run, monkeypatch):
     ids=["disconnected", "malformed-divisor", "bool-divisor", "bool-vertex-count", "bool-edge",
          "two-vertex-counts", "edges-not-a-list", "long-int-graph", "long-int-divisor", "deep-json", "non-utf8-graph",
          "non-utf8-divisor", "non-utf8-thresholds", "long-text-divisor", "long-text-thresholds",
-         "long-text-vertex-count", "long-text-edge", "m-tss-to-rec", "m-tss-to-nonhalt",
-         "m-at-bound", "out-unwritable", "verify-chain-no-thresholds",
+         "long-text-vertex-count", "long-text-edge", "out-unwritable", "verify-chain-no-thresholds",
          "verify-chain-empty-directory", "verify-chain-directory-and-thresholds",
          "max-n-zero", "max-n-negative"],
 )
@@ -483,7 +463,7 @@ TAKES = {
     "dist-rec": {"--witness", "--oracle"},
     "tss": {"--oracle"},
     "trace": {"--seed"},
-    "reduce": {"--m", "--out"},
+    "reduce": {"--out"},
     "subdivide": {"--out"},
     "verify-chain": set(),
 }

@@ -28,7 +28,6 @@ from chipfiring import (
     subdivide_to_simple,
     subdivision_roles,
 )
-from chipfiring.chipfire import add
 from chipfiring.families import (
     complete_graph,
     connected_multigraphs,
@@ -47,8 +46,12 @@ K2 = Multigraph(2, [(0, 1, 1)])
 C3 = cycle_graph(3)
 
 
+def add(f, h):
+    return tuple(a + b for a, b in zip(f, h))
+
+
 def xplus(inst, y):
-    return tuple(a + b for a, b in zip(inst.x, y))
+    return add(inst.x, y)
 
 
 def circ_and_bullet(inst):
@@ -414,23 +417,6 @@ class TestApexGadget:
             assert inst.gpp.edge_count == g.edge_count + inst.M * g.n
             assert inst.fpp[g.n] == 0  # the apex
 
-    def test_supplied_m_verified(self):
-        with pytest.raises(WitnessError):
-            reduce_rec_to_nonhalt(K2, (0, 0), M=1)
-        inst = reduce_rec_to_nonhalt(K2, (0, 0), M=2)
-        assert dist_nonhalt(inst.gpp, inst.fpp).value == 1
-
-    def test_supplied_m_below_bound_rejected(self):
-        # dist_rec(K2, (0, 0)) = 1, so M = 1 is too small
-        with pytest.raises(WitnessError, match="must exceed 1"):
-            reduce_rec_to_nonhalt(K2, (0, 0), M=1)
-
-    def test_bad_m_rejected(self):
-        with pytest.raises(GraphStructureError):
-            reduce_rec_to_nonhalt(K2, (0, 0), M=0)
-        assert reduce_rec_to_nonhalt(K2, (1, 1), M=1).M == 1  # recurrent already
-        with pytest.raises(GraphStructureError):
-            reduce_rec_to_nonhalt(K2, (1, 1), M=True)
 
 
 class TestComposedReduction:
@@ -537,7 +523,7 @@ class TestGadgetsMatchEdgeListBuild:
         for g in graphs:
             refs = {}
             for f in divisors_in_box(g, -1, 0):
-                # a supplied M is checked by solving dist_rec: build M = 2 directly
+                # the builder always takes the default M: build M = 2 directly
                 for inst in (reduce_rec_to_nonhalt(g, f), _apex_gadget(g, f, 2)):
                     if inst.M not in refs:
                         refs[inst.M] = Multigraph(
@@ -608,13 +594,20 @@ class TestSubdivision:
 
 class TestApexEqualityFamily:
     def test_small_family_round_trip(self):
-        # dist_rec(G, f) == dist_nonhalt(G'', f'') with the default bundle size
-        rng = Random(17)
-        for _ in range(25):
-            g = random_connected_multigraph(rng, max_n=3, max_extra_edges=2)
-            f = random_divisor(rng, g, low=-1, high_offset=1)
-            inst = reduce_rec_to_nonhalt(g, f)
-            want = dist_rec(g, f).value
-            got = dist_nonhalt(inst.gpp, inst.fpp).value
-            assert want == got, (g.edges(), f)
-            assert inst.M > got
+        # with the default M, on every instance of the family: M clears the
+        # paper's bound, dist_rec(G, f) == dist_nonhalt(G'', f''), and the
+        # dist_nonhalt witness restricted to G makes f + h recurrent (the back
+        # map of reduce_tss_to_nonhalt, whose hypotheses hold as deg h =
+        # dist_rec < M - overshoot)
+        count = 0
+        for g in connected_multigraphs(4, 4):
+            for f in divisors_in_box(g, -1, 1):
+                inst = reduce_rec_to_nonhalt(g, f)
+                want = dist_rec(g, f).value
+                overshoot = max(0, max(x - d for x, d in zip(f, g.degrees)))
+                assert inst.M > want + overshoot, (g.edges(), f)
+                got = dist_nonhalt(inst.gpp, inst.fpp)
+                assert got.value == want, (g.edges(), f)
+                assert is_recurrent(g, add(f, got.witness[:g.n]))[0], (g.edges(), f)
+                count += 1
+        assert count == 4722
