@@ -46,6 +46,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.max_n < 1:
+        parser.error("--max-n must be at least 1")
 
     rng = Random(args.seed)
     start = time.monotonic()

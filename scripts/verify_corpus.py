@@ -2,7 +2,8 @@
 """Run the full reduction-chain verifier over a corpus of instances.
 
 Generates the exhaustive family of small simple connected graphs, from one
-vertex up, with every threshold assignment in a range.  Besides the chain's
+vertex up, with every threshold vector validate_thresholds accepts: tau in
+[0, deg + 1], forced vertices (tau = deg + 1) included.  Besides the chain's
 reports, each instance checks the witness transport on every solution.  These
 checks read the gadgets and witnesses the chain itself built and solved, so
 nothing is built or solved twice:
@@ -19,7 +20,7 @@ instance.  Any failure makes the exit code 1.  A directory of paired files
 lines only.
 
 Example:
-    python3 scripts/verify_corpus.py --family 3 --max-tau-offset 0
+    python3 scripts/verify_corpus.py --family 3
     chipfiring verify-chain instances/ --format json > reports.jsonl
 """
 
@@ -62,7 +63,7 @@ def transport_reports(run) -> list[OracleReport]:
                 back = extract_target_set(inst, y).members
             except WitnessError:
                 continue
-            carried += sum(y) == size - inst.forced and len(back) <= size
+            carried += sum(y) == size - len(inst.forced) and len(back) <= size
     try:
         extracted = extract_target_set(inst, rec.witness).size
     except WitnessError:
@@ -103,21 +104,20 @@ class Tally:
                 f"slowest instance {fingerprint} took {seconds:.3f} s")
 
 
-def run_family(max_n: int, tau_low: int, tau_offset: int, tally: Tally) -> None:
+def run_family(max_n: int, tally: Tally) -> None:
     for g in connected_simple_graphs(range(1, max_n + 1)):
-        for tau in threshold_assignments(g, low=tau_low, high_offset=tau_offset):
+        for tau in threshold_assignments(g, low=0, high_offset=1):
             tally.check(g, tau)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", type=int, metavar="N", required=True,
-                        help="exhaustive simple connected graphs with 1..N vertices")
-    parser.add_argument("--min-tau", type=int, default=1)
-    parser.add_argument("--max-tau-offset", type=int, default=0,
-                        help="thresholds range up to degree + OFFSET "
-                             "(offset 1 adds the forced vertices, tau = deg + 1)")
+                        help="exhaustive simple connected graphs with 1..N vertices, "
+                             "every tau in [0, deg + 1]")
     args = parser.parse_args()
+    if args.family < 1:
+        parser.error("--family must be at least 1")
     if args.family > 5:
         # all 45,877 instances of 1-5 vertices, tau in [0, deg + 1], pass
         # every check, transport included, in about 58 s on a 2-core machine
@@ -125,7 +125,7 @@ def main() -> int:
                      "raises MemoryError under 1 GiB, since dist_nonhalt builds each "
                      "level's candidate table whole")
     tally = Tally()
-    run_family(args.family, args.min_tau, args.max_tau_offset, tally)
+    run_family(args.family, tally)
     print(tally.summary(), file=sys.stderr)
     return 1 if tally.failures else 0
 

@@ -312,7 +312,7 @@ def _run_chain(g: Multigraph, tau) -> tuple:
     apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
     rec = dist_rec(bundle_inst.gprime, bundle_inst.x)
     nonhalt = dist_nonhalt(apex_inst.gpp, apex_inst.fpp)
-    ts, forced = least.size, bundle_inst.forced
+    ts, forced = least.size, len(bundle_inst.forced)
     rows = [
         ("target-set-size/subset-oracle", ts, ts_oracle, eq),
         ("target-set-size/dist-rec", ts, rec.value + forced, eq),

@@ -65,38 +65,33 @@ from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
 class TssToRecInstance(NamedTuple):
     """Bundle-gadget output: graph, chip configuration, bundle size N, the
-    inner, core and outer id blocks, the owner of each gadget vertex (v for
-    v_i, v_c and v_o, u for p_uv), and the source instance with its count of
-    forced vertices.  Port j is vertex 3n + j, its ends given by
-    `_port_ends`."""
+    owner of each gadget vertex (v for v_i, v_c and v_o, u for p_uv), and
+    the source instance with its forced vertices, sorted.  With n source
+    vertices, v_i = v, v_c = n + v, v_o = 2n + v and port j = 3n + j, its
+    ends given by `_port_ends`."""
 
     gprime: Multigraph
     x: tuple[int, ...]
     N: int
-    inner: tuple[int, ...]
-    core: tuple[int, ...]
-    outer: tuple[int, ...]
     owner: tuple[int, ...]
     source: Multigraph
     tau: tuple[int, ...]
-    forced: int
+    forced: tuple[int, ...]
 
 
 class RecToNonhaltInstance(NamedTuple):
-    """Apex-gadget output: graph, shifted chips, apex multiplicity M, and the
-    source graph and chips.  The apex is vertex source.n, the last id."""
+    """Apex-gadget output: graph, shifted chips and apex multiplicity M.  The
+    apex is the last vertex, one past the source's ids."""
 
     gpp: Multigraph
     fpp: tuple[int, ...]
     M: int
-    source: Multigraph
-    f: tuple[int, ...]
 
 
 def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     """Build the bundle gadget for a simple connected graph with thresholds.
 
-    Forced vertices get gadget threshold 0 and are counted in `forced`.
+    Forced vertices get gadget threshold 0 and are listed in `forced`.
 
     Raises GraphStructureError if g is not simple or is disconnected (as
     its subclass DisconnectedGraphError), or if validate_thresholds rejects
@@ -106,9 +101,7 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
     g.require_connected()
     n, degs = g.n, g.degrees
     bundle = n + 2
-    inner = tuple(range(n))
-    core = tuple(range(n, 2 * n))
-    outer = tuple(range(2 * n, 3 * n))
+    inner, core, outer = range(n), range(n, 2 * n), range(2 * n, 3 * n)
     # v_i - v_c (N) and v_c - v_o (1) for every block, each in both directions
     rows = ([[(core[v], bundle)] for v in range(n)]
             + [((inner[v], bundle), (outer[v], 1)) for v in range(n)]
@@ -136,13 +129,10 @@ def reduce_tss_to_rec(g: Multigraph, tau) -> TssToRecInstance:
         gprime=gprime,
         x=tuple(x),
         N=bundle,
-        inner=inner,
-        core=core,
-        outer=outer,
         owner=tuple(owner),
         source=g,
         tau=tau,
-        forced=len(_forced_vertices(g, tau)),
+        forced=_forced_vertices(g, tau),
     )
 
 
@@ -175,11 +165,10 @@ def lift_target_set(inst: TssToRecInstance, members) -> tuple[int, ...]:
     members = tuple(sorted(set(members)))
     if not is_target_set(inst.source, inst.tau, members):
         raise WitnessError(f"{members} is not a target set of the source instance")
-    forced = _forced_vertices(inst.source, inst.tau)
     y = [0] * inst.gprime.n
     for v in members:
-        if v not in forced:
-            y[inst.outer[v]] = 1
+        if v not in inst.forced:
+            y[2 * inst.source.n + v] = 1
     if not _recurrent_sum(inst, y):
         raise WitnessError("lifted seed chips do not make the gadget configuration recurrent")
     return tuple(y)
@@ -216,7 +205,7 @@ def extract_target_set(inst: TssToRecInstance, y) -> TargetSet:
     if not _recurrent_sum(inst, y):
         raise WitnessError("x + y is not recurrent")
     members = {inst.owner[z] for z, k in enumerate(y) if k}
-    members.update(_forced_vertices(inst.source, inst.tau))
+    members.update(inst.forced)
     members = tuple(sorted(members))
     if not is_target_set(inst.source, inst.tau, members):
         raise WitnessError("extracted seed set does not activate the whole source graph")
@@ -249,7 +238,7 @@ def _apex_gadget(g: Multigraph, f: tuple[int, ...], M: int) -> RecToNonhaltInsta
     rows.append([(v, M) for v in range(n)])
     gpp = Multigraph._from_rows(rows, [d + M for d in g.degrees] + [n * M])
     fpp = tuple([x + M for x in f] + [0])
-    return RecToNonhaltInstance(gpp=gpp, fpp=fpp, M=M, source=g, f=f)
+    return RecToNonhaltInstance(gpp=gpp, fpp=fpp, M=M)
 
 
 def reduce_tss_to_nonhalt(g: Multigraph, tau) -> tuple[RecToNonhaltInstance, TssToRecInstance]:

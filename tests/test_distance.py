@@ -18,6 +18,7 @@ from chipfiring import (
     is_effective,
     is_recurrent,
     is_winnable,
+    min_target_set,
     rank,
     winnability_complement,
 )
@@ -34,6 +35,7 @@ from chipfiring.families import (
 )
 from chipfiring.oracles import _top_ups, rank_definitional
 from chipfiring.reductions import reduce_tss_to_rec
+from test_tss import _random_simple_graph
 
 K2 = Multigraph(2, [(0, 1, 1)])
 C3 = cycle_graph(3)
@@ -188,6 +190,45 @@ def test_distance_and_rank_depend_only_on_the_class(seed):
             moved[u] += m * x
     assert dist_nonhalt(g, moved) == dist_nonhalt(g, f)
     assert rank(g, moved) == rank(g, f)
+
+
+def _relabel(g, f, perm):
+    """g and f with vertex v renamed perm[v]."""
+    moved = [0] * g.n
+    for v, x in enumerate(f):
+        moved[perm[v]] = x
+    return Multigraph(g.n, [(perm[u], perm[v], m) for u, v, m in g.edges()]), tuple(moved)
+
+
+def _values(g, f):
+    return rank(g, f), is_winnable(g, f), dist_nonhalt(g, f).value, dist_rec(g, f).value
+
+
+def test_values_do_not_depend_on_the_labels():
+    # renaming the vertices changes no value; witnesses follow the labels,
+    # so only values are compared.  A cut or a seed order that reads the
+    # labels must keep this identity.
+    rng = Random(32)
+    simple = 0
+    for _ in range(600):
+        g = random_connected_multigraph(rng, max_n=7, max_extra_edges=4)
+        f = random_divisor(rng, g, low=-2, high_offset=1)
+        perm = rng.sample(range(g.n), g.n)
+        h, moved = _relabel(g, f, perm)
+        assert _values(h, moved) == _values(g, f)
+        if not g.is_simple():
+            continue
+        simple += 1
+        tau = tuple(rng.randint(0, d + 1) for d in g.degrees)
+        assert min_target_set(h, _relabel(g, tau, perm)[1]).size == min_target_set(g, tau).size
+    # and on simple graphs of up to 24 vertices, past the multigraph draws
+    for _ in range(300):
+        g = _random_simple_graph(rng, rng.randint(2, 24))
+        tau = tuple(rng.randint(0, d + 1) for d in g.degrees)
+        perm = rng.sample(range(g.n), g.n)
+        h, moved = _relabel(g, tau, perm)
+        assert min_target_set(h, moved).size == min_target_set(g, tau).size
+    assert simple >= 50
 
 
 def test_float_solve_only_chooses_the_firing_vector(monkeypatch):

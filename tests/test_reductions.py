@@ -54,11 +54,22 @@ def xplus(inst, y):
     return add(inst.x, y)
 
 
+def core(inst, v):
+    """The id of v_c, n + v; v_i is v itself."""
+    return inst.source.n + v
+
+
+def outer(inst, v):
+    """The id of v_o, 2n + v."""
+    return 2 * inst.source.n + v
+
+
 def circ_and_bullet(inst):
     """The paper's two vertex kinds: circ holds v_i and v_o, bullet holds v_c
     and the ports, every id from 3n on."""
-    return (frozenset(inst.inner) | frozenset(inst.outer),
-            frozenset(inst.core) | frozenset(range(3 * inst.source.n, inst.gprime.n)))
+    n = inst.source.n
+    return (frozenset(range(n)) | frozenset(range(2 * n, 3 * n)),
+            frozenset(range(n, 2 * n)) | frozenset(range(3 * n, inst.gprime.n)))
 
 
 class TestBundleGadget:
@@ -67,9 +78,9 @@ class TestBundleGadget:
         assert inst.gprime.n == 8  # 3*2 + 2*1
         assert inst.N == 4
         # chips: inner = deg - tau = 4+1-1, outer = deg - 1, cores and ports = 1
-        assert inst.x[inst.inner[0]] == 4
-        assert inst.x[inst.outer[0]] == 4
-        assert inst.x[inst.core[0]] == 1
+        assert inst.x[0] == 4
+        assert inst.x[outer(inst, 0)] == 4
+        assert inst.x[core(inst, 0)] == 1
         assert inst.x[6] == 1  # port p_01, id 3n + 0
         assert dist_rec(inst.gprime, inst.x).value == 1 == min_target_set(K2, (1, 1)).size
 
@@ -178,7 +189,7 @@ class TestWitnessTransport:
     def test_lift_two_vertices(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = lift_target_set(inst, (0,))
-        assert y[inst.outer[0]] == 1 and sum(y) == 1
+        assert y[outer(inst, 0)] == 1 and sum(y) == 1
         assert is_recurrent(inst.gprime, xplus(inst, y))[0]
 
     def test_lift_triangle(self):
@@ -196,7 +207,7 @@ class TestWitnessTransport:
         # tau(0) = deg(0) + 1 forces vertex 0 into every target set; the
         # gadget gives it threshold 0, so it activates without a chip
         inst = reduce_tss_to_rec(K2, (2, 1))
-        assert inst.forced == 1
+        assert inst.forced == (0,)
         assert min_target_set(K2, (2, 1)).size == 1
         assert dist_rec(inst.gprime, inst.x).value == 0
         y = lift_target_set(inst, (0,))
@@ -204,13 +215,13 @@ class TestWitnessTransport:
         assert is_recurrent(inst.gprime, xplus(inst, y))[0]
         assert extract_target_set(inst, y).members == (0,)
         y = list(y)
-        y[inst.outer[0]] = 1  # a chip a minimum witness never needs
+        y[outer(inst, 0)] = 1  # a chip a minimum witness never needs
         assert extract_target_set(inst, tuple(y)).members == (0,)
 
     def test_extract_from_outer_witness(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
-        y[inst.outer[0]] = 1
+        y[outer(inst, 0)] = 1
         got = extract_target_set(inst, tuple(y))
         assert got.members == (0,)
         assert is_target_set(K2, (1, 1), got.members)
@@ -220,7 +231,7 @@ class TestWitnessTransport:
         # read as a seed on the vertex that owns it
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
-        y[inst.inner[0]] = 1
+        y[0] = 1  # v_i, id v
         assert is_recurrent(inst.gprime, xplus(inst, y))[0]
         got = extract_target_set(inst, tuple(y))
         assert got.size == 1
@@ -244,7 +255,7 @@ class TestWitnessTransport:
         # lifted witness, which still passes the effective check
         inst = reduce_tss_to_rec(K2, (1, 1))
         x = list(inst.x)
-        x[inst.core[1]] -= 1
+        x[core(inst, 1)] -= 1
         bad = inst._replace(x=tuple(x))
         with pytest.raises(WitnessError, match="recurrent"):
             lift_target_set(bad, (0,))
@@ -258,7 +269,7 @@ class TestWitnessTransport:
         inst = reduce_tss_to_rec(path_graph(3), (1, 2, 1))
         y = lift_target_set(inst, (1,))
         owner = list(inst.owner)
-        owner[inst.outer[1]] = 0
+        owner[outer(inst, 1)] = 0
         with pytest.raises(WitnessError, match="^extracted seed set does not activate the "
                                                "whole source graph$"):
             extract_target_set(inst._replace(owner=tuple(owner)), y)
@@ -266,8 +277,8 @@ class TestWitnessTransport:
     def test_extract_rejects_negative(self):
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
-        y[inst.outer[0]] = 2
-        y[inst.inner[0]] = -1
+        y[outer(inst, 0)] = 2
+        y[0] = -1
         with pytest.raises(WitnessError):
             extract_target_set(inst, tuple(y))
 
@@ -276,7 +287,7 @@ class TestWitnessTransport:
         # witness; each vertex holding chips gives its owner
         inst = reduce_tss_to_rec(K2, (1, 1))
         y = [0] * inst.gprime.n
-        y[inst.outer[0]] = 2
+        y[outer(inst, 0)] = 2
         assert extract_target_set(inst, tuple(y)).members == (0,)
         y[7] = 1  # port p_10, id 3n + 1
         assert extract_target_set(inst, tuple(y)).members == (0, 1)
@@ -293,7 +304,7 @@ class TestWitnessTransport:
                         continue
                     count += 1
                     y = lift_target_set(inst, members)
-                    assert min(y) == 0 and sum(y) == size - inst.forced
+                    assert min(y) == 0 and sum(y) == size - len(inst.forced)
                     back = extract_target_set(inst, y).members
                     assert is_target_set(g, tau, back) and len(back) <= size
         assert count == 16570
@@ -427,7 +438,7 @@ class TestComposedReduction:
         assert apex_inst.M == 4  # |V| + 1
         # the bundle gadget keeps its 15 ids, and the apex comes last
         assert apex_inst.gpp.degrees[15] == 15 * 4 and apex_inst.fpp[15] == 0
-        assert apex_inst.source == bundle_inst.gprime and apex_inst.f == bundle_inst.x
+        assert apex_inst.fpp == tuple(x + 4 for x in bundle_inst.x) + (0,)
         assert dist_nonhalt(apex_inst.gpp, apex_inst.fpp).value == 2
 
     def test_two_vertices(self):
@@ -451,7 +462,7 @@ class TestApexLegBackMap:
         assert len(self.FAMILY) == 163
         for g, tau in self.FAMILY:
             apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
-            gpp, fpp, M, apex = apex_inst.gpp, apex_inst.fpp, apex_inst.M, apex_inst.source.n
+            gpp, fpp, M, apex = apex_inst.gpp, apex_inst.fpp, apex_inst.M, bundle_inst.gprime.n
             assert all(x <= d for x, d in zip(bundle_inst.x, bundle_inst.gprime.degrees))
             best = dist_nonhalt(gpp, fpp)
             tops = [best.witness]
@@ -510,10 +521,9 @@ class TestGadgetsMatchEdgeListBuild:
             # thresholds run up to deg + 1, so forced vertices are included
             for tau in threshold_assignments(g):
                 apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
-                forced_seen += bundle_inst.forced > 0
+                forced_seen += bool(bundle_inst.forced)
                 assert_same_graph(bundle_inst.gprime, bundle_ref)
                 assert_same_graph(apex_inst.gpp, apex_ref)
-                assert apex_inst.source == bundle_inst.gprime
                 assert apex_inst.fpp == tuple(x + g.n + 1 for x in bundle_inst.x) + (0,)
         assert forced_seen
 
@@ -531,7 +541,6 @@ class TestGadgetsMatchEdgeListBuild:
                         )
                     assert_same_graph(inst.gpp, refs[inst.M])
                     assert inst.fpp == tuple(x + inst.M for x in f) + (0,)
-                    assert inst.source == g
 
     def test_trusted_rows_equal_validated_rows(self):
         # every builder writes its rows straight into the stored shape and

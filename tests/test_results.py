@@ -34,9 +34,9 @@ CASES = {
                                     "agree": False, "fingerprint": "abc"}),
     "TssToRecInstance": (TssToRecInstance, _fields(
         reduce_tss_to_rec(K2, (1, 1)),
-        "gprime x N inner core outer owner source tau forced")),
+        "gprime x N owner source tau forced")),
     "RecToNonhaltInstance": (RecToNonhaltInstance, _fields(
-        reduce_rec_to_nonhalt(K2, (1, 0)), "gpp fpp M source f")),
+        reduce_rec_to_nonhalt(K2, (1, 0)), "gpp fpp M")),
 }
 
 

@@ -9,8 +9,9 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
-# the corpus prints nine reports for each of the 11 instances of 1-3 vertices
-CORPUS_3 = (99, "758afcec744bce36952b119e3308e8a4bb5ac81cea671a05c1ae57ed098c6d08")
+# the corpus prints nine reports for each of the 111 instances of 1-3
+# vertices, every tau in [0, deg + 1]
+CORPUS_3 = (999, "a63b24855089baed62a7d923fd2ef0ce7c72b6cfa7f589a2c11cf445cf55bb5c")
 
 
 @pytest.mark.parametrize("argv, summary, stdout", [
@@ -33,3 +34,16 @@ def test_corpus_refuses_six_vertices_at_once(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=5)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "family sizes above 5 are refused" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify_corpus.py", "--family", "0"], "--family must be at least 1"),
+    (["verify_corpus.py", "--family", "-3"], "--family must be at least 1"),
+    (["rank_agreement_sweep.py", "--max-n", "0"], "--max-n must be at least 1"),
+    (["rank_agreement_sweep.py", "--trials", "0"], "--trials must be at least 1"),
+], ids=["corpus-family-0", "corpus-family-negative", "sweep-max-n-0", "sweep-trials-0"])
+def test_scripts_refuse_sizes_below_1(tmp_path, argv, message):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
