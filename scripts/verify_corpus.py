@@ -40,7 +40,7 @@ from chipfiring import (
     is_target_set,
     lift_target_set,
 )
-from chipfiring.families import connected_simple_graphs, threshold_assignments
+from chipfiring.families import connected_simple_graphs, divisors_in_box
 from chipfiring.oracles import OracleReport, _run_chain
 
 
@@ -106,7 +106,7 @@ class Tally:
 
 def run_family(max_n: int, tally: Tally) -> None:
     for g in connected_simple_graphs(range(1, max_n + 1)):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             tally.check(g, tau)
 
 

@@ -111,30 +111,9 @@ def validate_divisor(g: Multigraph, f) -> Divisor:
     return f
 
 
-def deg(f) -> int:
-    """Total chip count; invariant under firing."""
-    return sum(f)
-
-
-def is_effective(f) -> bool:
-    return all(x >= 0 for x in f)
-
-
-def is_active(g: Multigraph, f, v: int) -> bool:
-    g._check_vertex(v)
-    f = validate_divisor(g, f)
-    return f[v] >= g.degrees[v]
-
-
-def fire(g: Multigraph, f, v: int) -> Divisor:
-    """Raw firing of v: legality is not required, this is the bare
-    linear-equivalence move."""
-    g._check_vertex(v)  # fire_sequence would check the divisor first
-    return fire_sequence(g, f, (v,), require_legal=False)
-
-
 def fire_sequence(g: Multigraph, f, seq, require_legal: bool = True) -> Divisor:
-    """Fold `fire` over a vertex sequence.
+    """Fire the vertices of seq in turn, each sending one chip along each
+    of its edges; without require_legal, the bare linear-equivalence move.
 
     With require_legal, the first firing of an inactive vertex raises
     IllegalFiringError carrying its position in the sequence.
@@ -449,7 +428,7 @@ def is_winnable(g: Multigraph, f) -> bool:
     """
     f = validate_divisor(g, f)
     genus = g.genus()  # raises on a disconnected graph
-    total = deg(f)
+    total = sum(f)
     if total < 0:
         return False
     if total >= genus:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 from random import Random
 
@@ -24,8 +24,10 @@ from .errors import ChipFiringError, SizeGuardError
 from .multigraph import Multigraph, graph_to_json, graph_to_text
 
 GUARDS = {"game": 16, "tss": 20, "verify-chain": 6}
-# the most top-ups an --oracle cross-check may scan, see _check_scan
+# the most top-ups or subsets an --oracle cross-check may scan, see _check_scan
 ORACLE_SCAN = 100_000
+# the most firing orders dist-rec's --oracle may try, see _cmd_dist_rec
+ORACLE_ORDERS = 10_000_000
 # the most lowerings its winnability descent may make, see _check_descent
 ORACLE_DESCENT = 100_000
 # the most vertices subdivide may build, one per vertex and edge copy
@@ -90,13 +92,13 @@ def _emit(args, obj, text: str, value=None, oracle=None) -> int:
     return 0 if agree else 1
 
 
-def _check_scan(top_ups: int) -> None:
-    """Refuse an oracle that would scan more than ORACLE_SCAN top-ups,
-    before it starts.  The count comes from the pipeline's answer, so if
-    that answer is too high, the CLI refuses with exit 2 rather than
+def _check_scan(count: int, what: str = "top-ups") -> None:
+    """Refuse an oracle that would scan more than ORACLE_SCAN top-ups or
+    subsets, before it starts.  The count comes from the pipeline's answer,
+    so if that answer is too high, the CLI refuses with exit 2 rather than
     reporting a disagreement."""
-    if top_ups > ORACLE_SCAN:
-        raise SizeGuardError(f"the oracle would scan {top_ups} top-ups, above its bound of "
+    if count > ORACLE_SCAN:
+        raise SizeGuardError(f"the oracle would scan {count} {what}, above its bound of "
                              f"{ORACLE_SCAN}; run without --oracle")
 
 
@@ -172,7 +174,13 @@ def _cmd_dist_rec(args, g: Multigraph, f) -> int:
 
     def check() -> bool:
         value = result.value  # the top-ups of degree value - 1 alone
-        _check_scan(comb(value - 2 + g.n, g.n - 1) if value else 0)
+        top_ups = comb(value - 2 + g.n, g.n - 1) if value else 0
+        _check_scan(top_ups)
+        # each top-up's permutation search may try every order of the vertices
+        orders = top_ups * factorial(g.n)
+        if orders > ORACLE_ORDERS:
+            raise SizeGuardError(f"the oracle could try {orders} firing orders, above its "
+                                 f"bound of {ORACLE_ORDERS}; run without --oracle")
         return oracles.is_least_recurrent_top_up(g, f, result.witness)
 
     return _emit_distance(args, result, check)
@@ -196,7 +204,13 @@ def _cmd_tss(args, g: Multigraph, tau) -> int:
     best = tss.min_target_set(g, tau)
     obj: dict = {"size": best.size, "members": list(best.members)}
     text = f"minimum target set size {best.size}: {' '.join(map(str, best.members))}"
-    return _emit(args, obj, text, best.size, lambda: oracles.ts_subset_enumeration(g, tau))
+
+    def check() -> int:
+        # every subset of size <= the pipeline's
+        _check_scan(sum(comb(g.n, k) for k in range(best.size + 1)), "subsets")
+        return oracles.ts_subset_enumeration(g, tau)
+
+    return _emit(args, obj, text, best.size, check)
 
 
 def _cmd_trace(args, g: Multigraph, f) -> int:

@@ -49,7 +49,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .chipfire import (
-    Divisor, _least_top_up, _play, _reduce, deg, validate_divisor, winnability_complement,
+    Divisor, _least_top_up, _play, _reduce, validate_divisor, winnability_complement,
 )
 from .multigraph import Multigraph
 
@@ -110,7 +110,7 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
     states = [slack] * (n + 1)
     # lower levels leave a winnable complement of degree >= genus: all halt;
     # the pointwise deficit filler is non-halting, so some level returns
-    for k in count(max(1, g.edge_count - deg(f))):
+    for k in count(max(1, g.edge_count - sum(f))):
         j = 0
         for cand in effective_divisors(k, n):
             # cand differs from its predecessor from j on, and is zero after
@@ -141,7 +141,7 @@ def rank(g: Multigraph, f) -> int:
     a non-halting state."""
     genus = g.genus()  # raises on a disconnected graph, before f is checked
     f = validate_divisor(g, f)
-    d = deg(f)
+    d = sum(f)
     if d < 0:
         # degree is invariant under firing, so no effective equivalent exists
         return -1

@@ -85,14 +85,9 @@ def connected_simple_graphs(n_values):
 
 
 def divisors_in_box(g: Multigraph, low: int, high_offset: int):
-    """Every divisor with entries in [low, degree(v) + high_offset]."""
+    """Every divisor, or threshold vector, with entries in [low, degree(v) + high_offset]."""
     ranges = [range(low, d + high_offset + 1) for d in g.degrees]
     return product(*ranges)
-
-
-def threshold_assignments(g: Multigraph, low: int = 1, high_offset: int = 1):
-    """Every threshold vector with entries in [low, degree(v) + high_offset]."""
-    return divisors_in_box(g, low, high_offset)
 
 
 def random_connected_multigraph(rng: Random, max_n: int = 8, max_extra_edges: int = 4,

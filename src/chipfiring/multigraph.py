@@ -112,19 +112,10 @@ class Multigraph:
         if (type(v) is not int and not _is_int(v)) or not 0 <= v < self.n:
             raise InvalidVertexError(f"vertex {v!r} out of range [0, {self.n})")
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.degrees[v]
-
     def multiplicity(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
         return dict(self.nbrs[u]).get(v, 0)
-
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(vertex, multiplicity) pairs for every neighbor of v."""
-        self._check_vertex(v)
-        return self.nbrs[v]
 
     def edges(self) -> list[Edge]:
         """Unordered pairs with positive multiplicity, as sorted (u, v, m) triples."""

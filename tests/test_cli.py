@@ -702,30 +702,48 @@ def test_subdivide_refuses_a_build_above_its_bound(tmp_path, max_n):
 
 
 @pytest.mark.parametrize(
-    "command, graph, vector, top_ups",
+    "command, graph, vector, count, what",
     [
         # rank 23 by Riemann-Roch; the oracle would scan every top-up of
         # degree <= 24 on 12 vertices
-        ("rank", cycle_graph(12), (2,) * 12, comb(36, 12)),
+        ("rank", cycle_graph(12), (2,) * 12, comb(36, 12), "top-ups"),
         # distance 8; the oracle would scan every top-up of degree <= 8
-        ("dist-nonhalt", cycle_graph(12), (2, 2) + (0,) * 10, comb(20, 12)),
+        ("dist-nonhalt", cycle_graph(12), (2, 2) + (0,) * 10, comb(20, 12), "top-ups"),
         # distance 18; the oracle would scan the top-ups of degree 17 alone
-        ("dist-rec", cycle_graph(9), (-1,) * 9, comb(25, 8)),
+        ("dist-rec", cycle_graph(9), (-1,) * 9, comb(25, 8), "top-ups"),
+        # thresholds at the degree: 16 seeds, so every subset of size <= 16
+        ("tss", complete_graph(17), (16,) * 17, 2**17 - 1, "subsets"),
     ],
-    ids=["rank", "dist-nonhalt", "dist-rec"],
+    ids=["rank", "dist-nonhalt", "dist-rec", "tss"],
 )
 @pytest.mark.parametrize("max_n", [(), ("--max-n", "40")], ids=["guard", "max-n"])
-def test_oracle_refuses_a_scan_above_its_bound(tmp_path, command, graph, vector, top_ups, max_n):
+def test_oracle_refuses_a_scan_above_its_bound(tmp_path, command, graph, vector, count, what,
+                                               max_n):
     # the count is known before the oracle starts; --max-n does not lift it
     (tmp_path / "g.graph").write_text(graph_to_text(graph))
     (tmp_path / "x.div").write_text(divisor_to_text(vector))
     start = time.monotonic()
     proc = _run_capped(tmp_path, [command, "g.graph", "x.div", "--oracle", *J, *max_n], timeout=30)
     assert time.monotonic() - start < 2
-    assert top_ups > cli.ORACLE_SCAN
+    assert count > cli.ORACLE_SCAN
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.endswith(f"error: the oracle would scan {top_ups} top-ups, above its "
+    assert proc.stderr.endswith(f"error: the oracle would scan {count} {what}, above its "
                                 f"bound of {cli.ORACLE_SCAN}; run without --oracle\n")
+
+
+def test_dist_rec_oracle_refuses_firing_orders_above_their_bound(tmp_path):
+    # distance 3 on K9, so 45 top-ups of degree 2, within the scan bound;
+    # each may try all 9! orders in its permutation search
+    (tmp_path / "g.graph").write_text(graph_to_text(complete_graph(9)))
+    (tmp_path / "x.div").write_text(divisor_to_text((8,) * 8 + (-3,)))
+    start = time.monotonic()
+    proc = _run_capped(tmp_path, ["dist-rec", "g.graph", "x.div", "--oracle", *J], timeout=30)
+    assert time.monotonic() - start < 2
+    orders = 45 * 362_880
+    assert comb(10, 8) == 45 <= cli.ORACLE_SCAN and orders > cli.ORACLE_ORDERS
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: the oracle could try {orders} firing orders, above its "
+               f"bound of {cli.ORACLE_ORDERS}; run without --oracle\n")
 
 
 A = 10**5 + 8

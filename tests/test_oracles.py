@@ -18,10 +18,10 @@ from chipfiring.families import (
     complete_graph,
     connected_simple_graphs,
     cycle_graph,
+    divisors_in_box,
     path_graph,
     random_connected_multigraph,
     random_divisor,
-    threshold_assignments,
 )
 from chipfiring.distance import dist_nonhalt, dist_rec, effective_divisors
 from chipfiring.oracles import (
@@ -245,7 +245,7 @@ def test_verify_chain_agrees_on_every_accepted_threshold():
     # validate_thresholds accepts tau in [0, deg + 1]; 1,911 instances, 1,800
     # of them on four vertices and two on one
     for g in connected_simple_graphs([1, 2, 3, 4]):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             assert all(r.agree for r in verify_reduction_chain(g, tau)), (g, tau)
 
 
@@ -253,7 +253,7 @@ def test_run_chain_returns_what_its_reports_read():
     # the run hands back the instances and results its reports were read
     # from, each equal to a fresh build or solve: 111 instances
     for g in connected_simple_graphs([1, 2, 3]):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             reports, least, bundle, apex, rec, nonhalt = _run_chain(g, tau)
             assert reports == verify_reduction_chain(g, tau)
             # every field: graph, chips, N and M among them

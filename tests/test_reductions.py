@@ -37,7 +37,6 @@ from chipfiring.families import (
     path_graph,
     random_connected_multigraph,
     random_divisor,
-    threshold_assignments,
 )
 from chipfiring.reductions import _apex_gadget
 from test_tss import _random_simple_graph
@@ -144,7 +143,7 @@ def papers_bundle_edges(g, big):
 class TestBundleGadgetIsThePapers:
     # 1-4 vertices, tau in [0, deg + 1]: 1,911 instances, forced vertices included
     FAMILY = [(g, tau) for g in connected_simple_graphs(range(1, 5))
-              for tau in threshold_assignments(g, 0, 1)]
+              for tau in divisors_in_box(g, 0, 1)]
 
     def test_edges_and_chips_by_role(self):
         assert len(self.FAMILY) == 1911
@@ -351,7 +350,7 @@ class TestTotalExtraction:
         rng = Random(12)
         bullet_chips = stacked = 0
         for g in connected_simple_graphs([2, 3, 4]):
-            for tau in threshold_assignments(g, low=0, high_offset=1):
+            for tau in divisors_in_box(g, low=0, high_offset=1):
                 inst = reduce_tss_to_rec(g, tau)
                 forced = {v for v in range(g.n) if tau[v] > g.degrees[v]}
                 best = min_target_set(g, tau).size
@@ -371,7 +370,7 @@ class TestTotalExtraction:
         # sources of 1-3 vertices, tau in [0, deg + 1], enumerated
         count = 0
         for g in connected_simple_graphs([1, 2, 3]):
-            for tau in threshold_assignments(g, low=0, high_offset=1):
+            for tau in divisors_in_box(g, low=0, high_offset=1):
                 inst = reduce_tss_to_rec(g, tau)
                 gp = inst.gprime
                 forced = {v for v in range(g.n) if tau[v] > g.degrees[v]}
@@ -452,7 +451,7 @@ class TestApexLegBackMap:
     # simple sources of 1-4 vertices, tau in [1, deg]: 163 composed gadgets,
     # none on one vertex, whose degree 0 leaves no such tau
     FAMILY = [(g, tau) for g in connected_simple_graphs(range(1, 5))
-              for tau in threshold_assignments(g, 1, 0)]
+              for tau in divisors_in_box(g, 1, 0)]
 
     def test_restriction_of_non_halting_top_up_is_recurrent(self):
         # the dist_nonhalt witness and four random non-minimum non-halting
@@ -519,7 +518,7 @@ class TestGadgetsMatchEdgeListBuild:
                 apex + 1, bundle_ref.edges() + [(z, apex, g.n + 1) for z in range(apex)]
             )
             # thresholds run up to deg + 1, so forced vertices are included
-            for tau in threshold_assignments(g):
+            for tau in divisors_in_box(g, 1, 1):
                 apex_inst, bundle_inst = reduce_tss_to_nonhalt(g, tau)
                 forced_seen += bool(bundle_inst.forced)
                 assert_same_graph(bundle_inst.gprime, bundle_ref)

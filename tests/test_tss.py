@@ -20,8 +20,8 @@ from chipfiring.families import (
     complete_graph,
     connected_simple_graphs,
     cycle_graph,
+    divisors_in_box,
     path_graph,
-    threshold_assignments,
 )
 
 P3 = path_graph(3)
@@ -140,7 +140,7 @@ def test_closure_idempotent(inst, sseed):
 
 def test_minimum_truly_minimal_exhaustive():
     for g in connected_simple_graphs([2, 3, 4]):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             best = min_target_set(g, tau)
             assert is_target_set(g, tau, best.members)
             if best.size:
@@ -162,7 +162,7 @@ def test_search_tree_is_pinned_by_cascade_calls(monkeypatch):
 
     monkeypatch.setattr(chipfire, "_cascade", counted)
     instances = [(g, tau) for g in connected_simple_graphs([2, 3, 4])
-                 for tau in threshold_assignments(g, low=0, high_offset=1)]
+                 for tau in divisors_in_box(g, low=0, high_offset=1)]
     assert len(instances) == 1909
     for g, tau in instances:
         min_target_set(g, tau)
@@ -180,7 +180,7 @@ def _activates_all(g, tau, seed):
     while True:
         joining = {
             v for v in range(g.n)
-            if v not in active and sum(1 for u, _m in g.neighbors(v) if u in active) >= tau[v]
+            if v not in active and sum(1 for u, _m in g.nbrs[v] if u in active) >= tau[v]
         }
         if not joining:
             return len(active) == g.n
@@ -199,7 +199,7 @@ def _first_least_target_set(g, tau):
 
 def test_min_target_set_is_first_subset_of_least_size_exhaustive():
     for g in connected_simple_graphs([2, 3, 4]):
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             assert min_target_set(g, tau).members == _first_least_target_set(g, tau), (g.edges(), tau)
 
 
@@ -238,14 +238,14 @@ def _greedy_reference(g, tau):
             return tuple(sorted(chosen))
         missing = [v for v in range(g.n) if v not in reached]
         deficits = {
-            v: tau[v] - sum(1 for u, _m in g.neighbors(v) if u in reached) for v in missing
+            v: tau[v] - sum(1 for u, _m in g.nbrs[v] if u in reached) for v in missing
         }
         chosen.append(max(missing, key=lambda v: (deficits[v], -v)))
 
 
 def test_greedy_matches_from_scratch_reference():
     for g in _TSS_GRAPHS:
-        for tau in threshold_assignments(g, low=0, high_offset=1):
+        for tau in divisors_in_box(g, low=0, high_offset=1):
             assert greedy_target_set(g, tau).members == _greedy_reference(g, tau), (g.edges(), tau)
     rng = Random(7)
     for _ in range(8):
