@@ -16,12 +16,13 @@ to the next vertex (the entry at n - 1 only holds what the others leave, so
 the change never starts there).  So the prefix states up to that entry are
 kept, and each candidate adds at most two entries to a kept state.  A zero
 entry passes the state on; a positive one plays only the avalanche from its
-vertex, the only one it can make active.  `effective_divisors` builds each
-level by the same rule, so it caches only the levels asked for, never a
-smaller sub-table.  Both distances are exponential by design.  Raising every
-vertex to its degree, the pointwise deficit filler, reaches a recurrent,
-hence non-halting, divisor, so both searches end by its degree; it proves
-that they end, and `dist_nonhalt` does not compute it to cap its levels.
+vertex, the only one it can make active.  `effective_divisors` walks each
+level by the same rule on one list, so the search holds at most n + 2 lists
+of n entries and no table of candidates.  Both distances take exponential
+time by design.  Raising every vertex to its degree, the pointwise deficit
+filler, reaches a recurrent, hence non-halting, divisor, so both searches end
+by its degree; it proves that they end, and `dist_nonhalt` does not compute it
+to cap its levels.
 
 f + g halts exactly when its winnability complement deg - 1 - f - g is
 winnable, and winnability depends only on the linear equivalence class.  So
@@ -44,9 +45,8 @@ state.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .chipfire import (
     Divisor, _least_top_up, _play, _reduce, validate_divisor, winnability_complement,
@@ -64,25 +64,26 @@ class DistanceResult(NamedTuple):
         return {"value": self.value, "witness": list(self.witness)}
 
 
-@lru_cache(maxsize=None)
-def effective_divisors(total: int, n: int) -> tuple[Divisor, ...]:
-    """All effective divisors of the given degree on n vertices, ordered with
+def effective_divisors(total: int, n: int) -> Iterator[list[int]]:
+    """Every effective divisor of the given degree on n vertices, ordered with
     chips on the lowest vertex ids first, each from its predecessor by the
-    successor rule of placement order."""
+    successor rule of placement order.
+
+    Yields one list, updated in place by the next step: a caller must not
+    change it, and must copy any step it keeps."""
     top = [total] + [0] * (n - 1)
-    out = [tuple(top)]
+    yield top
     j = 0  # the last nonzero entry before n - 1
     while top[-1] < total:
         moved = top[-1] + 1
         top[-1] = 0
         top[j] -= 1
         top[j + 1] += moved
-        out.append(tuple(top))
+        yield top
         if j < n - 2:
             j += 1
         while j > 0 and not top[j]:
             j -= 1
-    return tuple(out)
 
 
 def dist_rec(g: Multigraph, f) -> DistanceResult:
@@ -114,16 +115,23 @@ def dist_nonhalt(g: Multigraph, f) -> DistanceResult:
         j = 0
         for cand in effective_divisors(k, n):
             # cand differs from its predecessor from j on, and is zero after
-            # j + 1 < n (on one vertex the first candidate is the answer)
-            for v in (j, j + 1):
-                s = states[v]
-                c = cand[v]
-                if c:
-                    s = s[:]
-                    s[v] -= c  # only v can turn active on a stable state
-                    if s[v] <= 0 and not _play(degs, nbrs, s)[0]:
-                        return DistanceResult(k, cand)
-                states[v + 1] = s
+            # j + 1 < n (on one vertex the first candidate is the answer); the
+            # two positions are written out, as a loop over them ran slower
+            s = states[j]
+            c = cand[j]
+            if c:
+                s = s[:]
+                s[j] -= c  # only j can turn active on a stable state
+                if s[j] <= 0 and not _play(degs, nbrs, s)[0]:
+                    return DistanceResult(k, tuple(cand))
+            states[j + 1] = s
+            c = cand[j + 1]
+            if c:
+                s = s[:]
+                s[j + 1] -= c
+                if s[j + 1] <= 0 and not _play(degs, nbrs, s)[0]:
+                    return DistanceResult(k, tuple(cand))
+            states[j + 2] = s
             # the next candidate first differs at the last nonzero entry before n - 1
             if j < n - 2:
                 j += 1

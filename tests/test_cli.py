@@ -635,6 +635,10 @@ CIRC20 = graph_to_text(Multigraph(20, [(v, (v + j) % 20, 1) for v in range(20) f
          '{"value": 200, "witness": [100, 100, 0]}\n'),
         (("dist-rec", *J, "--witness"), C16, "0 " * 15 + "0\n",
          '{"value": 16, "witness": [2, ' + "1, " * 14 + '0]}\n'),
+        # the search starts at level |E| - deg f = 16, whose C(31, 15), about
+        # 3.0 * 10^8, candidates exhausted the cap when built as a table
+        (("dist-nonhalt", *J), C16, divisor_to_text((10**4 + 8, -(10**4 + 8)) + (0,) * 14),
+         '{"value": 16}\n'),
         # every threshold above the degree: all vertices are forced seeds
         (("tss", *J), C20, "3 " * 19 + "3\n",
          '{"members": [' + ", ".join(map(str, range(20))) + '], "size": 20}\n'),
@@ -642,7 +646,8 @@ CIRC20 = graph_to_text(Multigraph(20, [(v, (v + j) % 20, 1) for v in range(20) f
         (("tss", *J), CIRC20, "6 " * 19 + "6\n",
          '{"members": [0, 1, 2, 4, 5, 7, 8, 10, 11, 12, 14, 15, 17, 18], "size": 14}\n'),
     ],
-    ids=["k2-deficit", "bundle-surplus", "hub-deficit", "bundles", "c16", "c20-forced", "circulant-independent"],
+    ids=["k2-deficit", "bundle-surplus", "hub-deficit", "bundles", "c16", "c16-deep-level",
+         "c20-forced", "circulant-independent"],
 )
 def test_concentrated_inputs_answer_within_seconds(tmp_path, argv, graph, vector, out):
     # far beyond what enumerating candidates or subsets finishes in time
@@ -797,3 +802,15 @@ def test_k6_bundle_gadget_dist_rec_within_memory_cap(tmp_path):
     result = json.loads(proc.stdout)
     assert result["value"] == 5 == sum(result["witness"])
     assert is_recurrent(inst.gprime, [a + b for a, b in zip(inst.x, result["witness"])])[0]
+
+
+def test_k6_chain_at_tau_5_within_memory_cap(tmp_path):
+    # the 49-vertex apex gadget searches levels 1-5 for dist-nonhalt; a table
+    # of every candidate of a level exhausted the cap
+    (tmp_path / "k6.graph").write_text(graph_to_text(complete_graph(6)))
+    (tmp_path / "k6.thr").write_text(divisor_to_text((5,) * 6))
+    proc = _run_capped(tmp_path, ["verify-chain", "k6.graph", "k6.thr", *J], timeout=60)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, len(lines)) == (0, "", 6)
+    assert all(json.loads(line)["agree"] is True for line in lines)
+

@@ -45,14 +45,26 @@ def deficit(g, f):
     return sum(max(0, d - x) for d, x in zip(g.degrees, f))
 
 
+def _level(total, n):
+    return tuple(tuple(c) for c in effective_divisors(total, n))
+
+
 def test_effective_divisors_order():
     # chips land on the lowest vertex ids first
-    assert effective_divisors(1, 2) == ((1, 0), (0, 1))
-    level = effective_divisors(3, 3)
+    assert _level(1, 2) == ((1, 0), (0, 1))
+    level = _level(3, 3)
     assert level[0] == (3, 0, 0)
     assert level[1] == (2, 1, 0)
     assert level[-1] == (0, 0, 3)
     assert len(level) == 10
+
+
+def test_effective_divisors_steps_one_list():
+    # each step updates the same list in place: no table, no tuple per step
+    steps = list(effective_divisors(3, 3))
+    assert len(steps) == 10 and all(c is steps[0] for c in steps)
+    # C(35, 11), about 4.2 * 10^8 divisors, that no table could hold
+    assert next(effective_divisors(24, 12)) == [24] + [0] * 11
 
 
 def test_upper_bound_reaches_recurrent():
@@ -391,19 +403,45 @@ def _cap_address_space_128_mib():
     resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
 
 
+def _run_capped_128_mib(code):
+    src = str(Path(chipfiring.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_cap_address_space_128_mib, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_dist_nonhalt_on_the_k5_apex_gadget_fits_in_128_mib():
     # the 36-vertex apex gadget of K5 at tau 4 searches levels 1-4 on 36
     # vertices; a top-up table that cached every smaller sub-table ran out
     # of memory here
-    src = str(Path(chipfiring.__file__).resolve().parents[1])
-    code = ("from chipfiring import dist_nonhalt, reduce_tss_to_nonhalt\n"
-            "from chipfiring.families import complete_graph\n"
-            "apex, _ = reduce_tss_to_nonhalt(complete_graph(5), (4,) * 5)\n"
-            "print(apex.gpp.n, dist_nonhalt(apex.gpp, apex.fpp).value)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          preexec_fn=_cap_address_space_128_mib, capture_output=True,
-                          text=True, timeout=120)
+    proc = _run_capped_128_mib("from chipfiring import dist_nonhalt, reduce_tss_to_nonhalt\n"
+                               "from chipfiring.families import complete_graph\n"
+                               "apex, _ = reduce_tss_to_nonhalt(complete_graph(5), (4,) * 5)\n"
+                               "print(apex.gpp.n, dist_nonhalt(apex.gpp, apex.fpp).value)\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "36 4\n", "")
+
+
+@pytest.mark.parametrize(
+    "call, out",
+    [
+        # level 24 on 12 vertices: a table of that level alone holds C(35, 11),
+        # about 4.2 * 10^8, divisors
+        ("dist_nonhalt(cycle_graph(12), (-1,) * 12)",
+         f"DistanceResult(value=24, witness={(23, 1) + (0,) * 10})"),
+        # the search starts at level |E| - deg f = 16: C(31, 15), about 3.0 * 10^8
+        ("dist_nonhalt(cycle_graph(16), (10**4 + 8, -(10**4 + 8)) + (0,) * 14)",
+         f"DistanceResult(value=16, witness={(15, 1) + (0,) * 14})"),
+        # all six reports of the chain on K6 at tau 5 agree
+        ("all(r.agree for r in verify_reduction_chain(complete_graph(6), (5,) * 6))", "True"),
+    ],
+    ids=["c12", "c16", "k6-chain"],
+)
+def test_searches_whose_level_no_table_could_hold_fit_in_128_mib(call, out):
+    # the walk holds one candidate and its prefix states, never a level
+    proc = _run_capped_128_mib("from chipfiring import dist_nonhalt, verify_reduction_chain\n"
+                               "from chipfiring.families import complete_graph, cycle_graph\n"
+                               f"print({call})\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
 
 
 def test_rank_matches_definitional_sample():
