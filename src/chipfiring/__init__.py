@@ -1,115 +1,21 @@
 """Chip-firing games on multigraphs: halting, recurrence, winnability, exact
 divisor rank and distance solvers, minimum target set selection, and
-cross-verified gadget reductions between the two worlds."""
+cross-verified gadget reductions between the two worlds.
 
-from .chipfire import (
-    Divisor,
-    GameTrace,
-    HaltVerdict,
-    HALTING,
-    NON_HALTING,
-    classify_halting,
-    fire_sequence,
-    is_recurrent,
-    is_winnable,
-    winnability_complement,
-)
-from .distance import DistanceResult, dist_nonhalt, dist_rec, effective_divisors, rank
-from .errors import (
-    ChipFiringError,
-    DisconnectedGraphError,
-    FormatError,
-    GraphStructureError,
-    IllegalFiringError,
-    InvalidVertexError,
-    SizeGuardError,
-    WitnessError,
-)
-from .multigraph import Multigraph, graph_from_json, graph_to_json, graph_to_text, parse_graph
-from .oracles import (
-    OracleReport,
-    rank_definitional,
-    recurrent_permutation,
-    ts_subset_enumeration,
-    verify_reduction_chain,
-    winnable_exhaustive,
-    winnable_within_bound,
-)
-from .reductions import (
-    RecToNonhaltInstance,
-    TssToRecInstance,
-    bundle_roles,
-    default_apex_multiplicity,
-    extract_target_set,
-    lift_target_set,
-    reduce_rec_to_nonhalt,
-    reduce_tss_to_nonhalt,
-    reduce_tss_to_rec,
-    subdivide_to_simple,
-    subdivision_roles,
-)
-from .tss import (
-    TargetSet,
-    Thresholds,
-    activation_closure,
-    greedy_target_set,
-    is_target_set,
-    min_target_set,
-)
+The public surface is the union of the submodules' `__all__` lists."""
 
-__all__ = [
-    "ChipFiringError",
-    "DisconnectedGraphError",
-    "DistanceResult",
-    "Divisor",
-    "FormatError",
-    "GameTrace",
-    "GraphStructureError",
-    "HALTING",
-    "HaltVerdict",
-    "IllegalFiringError",
-    "InvalidVertexError",
-    "Multigraph",
-    "NON_HALTING",
-    "OracleReport",
-    "RecToNonhaltInstance",
-    "SizeGuardError",
-    "TargetSet",
-    "Thresholds",
-    "TssToRecInstance",
-    "WitnessError",
-    "activation_closure",
-    "bundle_roles",
-    "classify_halting",
-    "default_apex_multiplicity",
-    "dist_nonhalt",
-    "dist_rec",
-    "effective_divisors",
-    "extract_target_set",
-    "fire_sequence",
-    "graph_from_json",
-    "graph_to_json",
-    "graph_to_text",
-    "greedy_target_set",
-    "is_recurrent",
-    "is_target_set",
-    "is_winnable",
-    "lift_target_set",
-    "min_target_set",
-    "parse_graph",
-    "rank",
-    "rank_definitional",
-    "recurrent_permutation",
-    "reduce_rec_to_nonhalt",
-    "reduce_tss_to_nonhalt",
-    "reduce_tss_to_rec",
-    "subdivide_to_simple",
-    "subdivision_roles",
-    "ts_subset_enumeration",
-    "verify_reduction_chain",
-    "winnability_complement",
-    "winnable_exhaustive",
-    "winnable_within_bound",
-]
+from . import chipfire, distance, errors, multigraph, oracles, reductions, tss
+from .chipfire import *
+from .distance import *
+from .errors import *
+from .multigraph import *
+from .oracles import *
+from .reductions import *
+from .tss import *
+
+__all__ = (
+    chipfire.__all__ + distance.__all__ + errors.__all__ + multigraph.__all__
+    + oracles.__all__ + reductions.__all__ + tss.__all__
+)
 
 __version__ = "0.1.0"

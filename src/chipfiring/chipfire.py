@@ -95,6 +95,11 @@ from typing import NamedTuple
 from .errors import FormatError, GraphStructureError, IllegalFiringError
 from .multigraph import Multigraph, _decode_json, _int_line, _is_int
 
+__all__ = [
+    "Divisor", "GameTrace", "HaltVerdict", "HALTING", "NON_HALTING", "classify_halting",
+    "fire_sequence", "is_recurrent", "is_winnable", "winnability_complement",
+]
+
 Divisor = tuple[int, ...]
 
 HALTING = "halting"

@@ -53,6 +53,8 @@ from .chipfire import (
 )
 from .multigraph import Multigraph
 
+__all__ = ["DistanceResult", "dist_nonhalt", "dist_rec", "effective_divisors", "rank"]
+
 
 class DistanceResult(NamedTuple):
     """A distance value with the minimizing effective top-up divisor."""

@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all modules."""
 
+__all__ = [
+    "ChipFiringError", "DisconnectedGraphError", "FormatError", "GraphStructureError",
+    "IllegalFiringError", "InvalidVertexError", "SizeGuardError", "WitnessError",
+]
+
 
 class ChipFiringError(Exception):
     """Base class for every domain error raised by this package."""

@@ -37,6 +37,8 @@ from .errors import (
     InvalidVertexError,
 )
 
+__all__ = ["Multigraph", "graph_from_json", "graph_to_json", "graph_to_text", "parse_graph"]
+
 Edge = tuple[int, int, int]
 # one stored row: (neighbor, multiplicity) pairs, neighbors increasing
 Row = Sequence[tuple[int, int]]

@@ -39,6 +39,11 @@ from .multigraph import Multigraph, graph_to_text
 from .reductions import reduce_tss_to_nonhalt
 from .tss import min_target_set, validate_thresholds
 
+__all__ = [
+    "OracleReport", "rank_definitional", "recurrent_permutation", "ts_subset_enumeration",
+    "verify_reduction_chain", "winnable_exhaustive", "winnable_within_bound",
+]
+
 PERMUTATION_GUARD = 9
 SUBSET_GUARD = 20
 EXHAUSTIVE_GUARD = 200_000

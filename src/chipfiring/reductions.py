@@ -62,6 +62,12 @@ from .errors import WitnessError
 from .multigraph import Multigraph
 from .tss import TargetSet, _forced_vertices, is_target_set, validate_thresholds
 
+__all__ = [
+    "RecToNonhaltInstance", "TssToRecInstance", "bundle_roles", "default_apex_multiplicity",
+    "extract_target_set", "lift_target_set", "reduce_rec_to_nonhalt", "reduce_tss_to_nonhalt",
+    "reduce_tss_to_rec", "subdivide_to_simple", "subdivision_roles",
+]
+
 
 class TssToRecInstance(NamedTuple):
     """Bundle-gadget output: graph, chip configuration, bundle size N, the

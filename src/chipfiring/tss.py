@@ -19,6 +19,11 @@ from .chipfire import _cascade, _least_top_up
 from .errors import GraphStructureError, InvalidVertexError
 from .multigraph import Multigraph, _int_line, _is_int
 
+__all__ = [
+    "TargetSet", "Thresholds", "activation_closure", "greedy_target_set", "is_target_set",
+    "min_target_set",
+]
+
 Thresholds = tuple[int, ...]
 
 

@@ -594,6 +594,21 @@ class TestSubdivision:
                 assert g2.is_simple()
                 assert rank(g, f) == rank(g2, f2), (g.edges(), f)
 
+    @pytest.mark.parametrize("g, n, want", [
+        (path_graph(2), 53, 0), (path_graph(3), 108, 0),
+        (C3, 130, 1), (complete_graph(4), 257, 2),
+    ], ids=["P2", "P3", "C3", "K4"])
+    def test_rank_preserved_on_subdivided_apex_gadget(self, g, n, want):
+        # at tau = deg, c = deg - 1 - f'' on the apex gadget has rank
+        # min TSS - forced - 1: deg c - (genus - 1) is the bundle gadget's
+        # root need, which is <= 0, so rank(c) is dist_nonhalt(f'') - 1
+        apex, bundle = reduce_tss_to_nonhalt(g, g.degrees)
+        c = tuple(d - 1 - x for d, x in zip(apex.gpp.degrees, apex.fpp))
+        g2, c2 = subdivide_to_simple(apex.gpp, c)
+        assert g2.n == n and g2.is_simple()
+        assert min_target_set(g, g.degrees).size - len(bundle.forced) - 1 == want
+        assert rank(g2, c2) == want
+
     def test_single_vertex_passthrough(self):
         k1 = Multigraph(1)
         g2, f2 = subdivide_to_simple(k1, (5,))
